@@ -104,16 +104,20 @@ def _trial_data(job: dict, seed_seq: np.random.SeedSequence, default_mode: str):
 def _cmd_roundtrip(cfg: JobConfig) -> int:
     doc = _read_doc(cfg.input)
     tols = cfg.tolerances
+    keys = ("lam", "mu", "weights", "phases")
     if doc.get("schema") == "roundtrip_job.v1":
         trials = int(doc.get("trials", 10))
         seeds = np.random.SeedSequence(cfg.seed).spawn(trials)
         workers = int(os.environ.get(THREADS_ENV, "0")) or min(trials, os.cpu_count() or 1)
 
         def one(i: int) -> dict:
-            data = _trial_data(doc, seeds[i], cfg.mode)
-            errs = run_roundtrip_trial(data, truncation=cfg.truncation,
-                                       tail_tol=tols.cert_tail,
-                                       cluster_gap=tols.cluster_gap)
+            try:
+                data = _trial_data(doc, seeds[i], cfg.mode)
+                errs = run_roundtrip_trial(data, truncation=cfg.truncation,
+                                           tail_tol=tols.cert_tail,
+                                           cluster_gap=tols.cluster_gap)
+            except HankelSpectraError as exc:
+                errs = dict.fromkeys(keys, float("inf")) | {"N": None, "error": exc}
             errs["trial"] = i
             return errs
 
@@ -126,15 +130,20 @@ def _cmd_roundtrip(cfg: JobConfig) -> int:
                                    cluster_gap=tols.cluster_gap)
         errs["trial"] = 0
         results = [errs]
-    keys = ("lam", "mu", "weights", "phases")
     summary = {k: max(r[k] for r in results) for k in keys}
     report = {
         "schema": "roundtrip_report.v1",
         "trials": [{k: (r[k] if np.isfinite(r[k]) else "inf") for k in keys}
-                   | {"N": r["N"], "trial": r["trial"]} for r in results],
+                   | {"N": r["N"], "trial": r["trial"]}
+                   | ({"error": r["error"].code} if "error" in r else {}) for r in results],
         "max_errors": {k: (v if np.isfinite(v) else "inf") for k, v in summary.items()},
     }
     _write_doc(cfg.output, report)
+    failed = [r for r in results if "error" in r]
+    if failed:
+        # the report keeps every trial; the job still fails, naming the first
+        _emit_error(failed[0]["error"], trial=failed[0]["trial"])
+        return 3
     return 0
 
 
@@ -192,8 +201,8 @@ def run(cfg: JobConfig) -> int:
         return 4
 
 
-def _emit_error(exc: HankelSpectraError):
-    doc = {"error": exc.code, "message": str(exc)}
+def _emit_error(exc: HankelSpectraError, **context):
+    doc = {"error": exc.code, "message": str(exc)} | context
     index = getattr(exc, "index", None)
     if index is not None:
         doc["index"] = index

@@ -2,15 +2,17 @@
 
 The inverse direction generates the symbol ``gamma_k = <q, (Sigma*)^k p>`` by
 iterating the contraction and certifies the truncation through the geometric
-decay of ``(Sigma*)^k p``.  The forward direction eigendecomposes the squared
-truncation and its shift, clusters singular values into levels, and recovers
-weights and per-level phases (or circle measures) from the action of the
-conjugated matrix on the eigenspaces.
+decay of ``(Sigma*)^k p``.  The forward direction finds the leading singular
+subspaces of the truncation Gamma and of Gamma S with a randomized range
+finder that applies both by FFT from the symbol, clusters the singular values
+into levels, and recovers weights and per-level phases (or circle measures)
+from the action of the conjugated operator on the level eigenspaces.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
@@ -39,13 +41,29 @@ WEIGHT_RTOL = 1e-10        # relative u-mass that marks a level as weighted
 ANTIDIAG_RTOL = 1e-8
 
 
+def _fft_length(n: int) -> int:
+    """Smallest 5-smooth integer >= n, a fast length for numpy.fft."""
+    while True:
+        m = n
+        for p in (2, 3, 5):
+            while m % p == 0:
+                m //= p
+        if m == 1:
+            return n
+        n += 1
+
+
 @dataclass(frozen=True, eq=False)
 class HankelMatrix:
-    """Symbol coefficients plus the N x N truncation with entries gamma_{j+k}."""
+    """The N x N truncation (gamma_{j+k}) of a Hankel operator, held as its
+    2N - 1 symbol coefficients.
+
+    Gamma, Gamma*, Gamma S and (Gamma S)* act through :meth:`apply` by FFT;
+    the dense ``entries`` are derived only on request.
+    """
 
     gamma: np.ndarray
     N: int
-    entries: np.ndarray
 
     @classmethod
     def from_gamma(cls, gamma, N: int | None = None) -> "HankelMatrix":
@@ -57,11 +75,8 @@ class HankelMatrix:
         if len(gamma) < 2 * N - 1:
             gamma = np.concatenate([gamma, np.zeros(2 * N - 1 - len(gamma), dtype=complex)])
         gamma = gamma[: 2 * N - 1].copy()
-        j = np.arange(N)
-        entries = gamma[j[:, None] + j[None, :]]
         gamma.setflags(write=False)
-        entries.setflags(write=False)
-        return cls(gamma=gamma, N=N, entries=entries)
+        return cls(gamma=gamma, N=N)
 
     @classmethod
     def from_entries(cls, matrix, rtol: float = ANTIDIAG_RTOL) -> "HankelMatrix":
@@ -84,14 +99,57 @@ class HankelMatrix:
                 f"anti-diagonal residual {residual:.3e} exceeds {rtol:.1e} * scale")
         return cls.from_gamma(gamma, N)
 
+    @property
+    def entries(self) -> np.ndarray:
+        """The dense matrix (gamma_{j+k}), built anew on each access."""
+        j = np.arange(self.N)
+        return self.gamma[j[:, None] + j[None, :]]
+
     def shifted(self) -> np.ndarray:
-        """The truncation of Gamma S: columns shifted left, zero last column."""
-        out = np.zeros_like(self.entries)
+        """The dense truncation of Gamma S: columns shifted left, zero last column."""
+        out = np.zeros((self.N, self.N), dtype=complex)
         out[:, :-1] = self.entries[:, 1:]
         return out
 
+    @cached_property
+    def _gamma_hat(self) -> np.ndarray:
+        return np.fft.fft(self.gamma, _fft_length(2 * self.N - 1))
+
+    def apply(self, x, shifted: bool = False, adjoint: bool = False) -> np.ndarray:
+        """Gamma x, Gamma* x, (Gamma S) x or (Gamma S)* x for a vector or an
+        N x k block, in O(N log N) time per column.
+
+        (Gamma x)_j = sum_k gamma_{j+k} x_k is entry N - 1 + j of the linear
+        convolution of gamma with x reversed, which a circular convolution of
+        length >= 2N - 1 holds without wrap-around.  Gamma S is Gamma applied
+        to the down-shifted input, whose reversal is x_0..x_{N-2} reversed.
+        Gamma is complex symmetric, so Gamma* x = conj(Gamma conj x), and
+        (Gamma S)* = S* Gamma* drops the first entry of Gamma* x.  A block is
+        transformed column by column, each column laid out as a contiguous row.
+        """
+        x = np.asarray(x, dtype=complex).T
+        N = self.N
+        if shifted and not adjoint:
+            x = x[..., : N - 1]
+        spec = self._gamma_hat
+        rows = np.zeros(x.shape[:-1] + spec.shape, dtype=complex)
+        rows[..., : x.shape[-1]] = x[..., ::-1]
+        if adjoint:
+            np.conj(rows, out=rows)
+        rows = np.fft.fft(rows, axis=-1)
+        rows *= spec
+        y = np.fft.ifft(rows, axis=-1)[..., N - 1: 2 * N - 1]
+        if adjoint:
+            y = y.conj()
+            if shifted:
+                y = np.concatenate([y[..., 1:], np.zeros_like(y[..., :1])], axis=-1)
+        return y.T
+
     def singular_values(self) -> np.ndarray:
-        return np.linalg.svd(self.entries, compute_uv=False)
+        """All N singular values, descending: those above ZERO_CUT_RTOL * sigma_1
+        as the range finder captures them, then exact zeros."""
+        svals, _, _ = _top_singular_triplets(self, shifted=False, zero_rtol=ZERO_CUT_RTOL)
+        return np.concatenate([svals, np.zeros(self.N - len(svals))])
 
 
 def gamma_sequence(b: OperatorBundle, K: int) -> np.ndarray:
@@ -177,14 +235,14 @@ class KernelReport:
 
 
 def kernel_diagnostics(h: HankelMatrix, n: int) -> KernelReport:
-    """Smallest singular value of the truncation; a rank-n symbol truncated at
-    N >= n + 2 always leaves a nontrivial kernel."""
+    """Smallest singular value of the truncation (0 below the zero cut); a
+    rank-n symbol truncated at N >= n + 2 always leaves a nontrivial kernel."""
     if h.N < n + 2:
         raise TruncationTooSmallError(f"need N >= n + 2 = {n + 2}, got {h.N}")
     svals = h.singular_values()
-    smax = float(svals.max(initial=0.0))
-    rank = int(np.sum(svals > ZERO_CUT_RTOL * smax)) if smax > 0 else 0
-    sigma_min = float(svals.min())
+    smax = float(svals[0])
+    rank = int(np.count_nonzero(svals))
+    sigma_min = float(svals[-1])
     return KernelReport(sigma_min=sigma_min, numerical_rank=rank, N=h.N, n=n,
                         nontrivial_kernel=sigma_min <= 1e-8 * max(smax, 1.0))
 
@@ -213,48 +271,44 @@ def _cluster_levels(svals_desc: np.ndarray, smax: float, gap: float):
     return clusters
 
 
-# Below this size a dense SVD is cheaper than the randomized range finder.
-_DENSE_SVD_LIMIT = 384
+def _top_singular_triplets(h: HankelMatrix, shifted: bool, zero_rtol: float,
+                           smax_ref: float = 0.0, seed: int = 17):
+    """Singular values of A = Gamma (or Gamma S when ``shifted``) above the
+    zero cut, their right vectors, and A's top singular value.
 
-
-def _top_singular_triplets(A: np.ndarray, zero_rtol: float, seed: int = 17):
-    """Singular values above ``zero_rtol * smax`` and their right vectors.
-
-    Dense SVD for small truncations; otherwise a seeded randomized range
-    finder with power iterations.  Certified truncations have a many-decade
-    spectral gap at the rank cut, so the subspace is captured to machine
-    precision; capture is verified (last kept value below the cut) and the
-    sketch width doubles until it holds.
+    A seeded randomized range finder (Halko-Martinsson-Tropp) with two power
+    iterations, driven through :meth:`HankelMatrix.apply`.  The cut is
+    ``zero_rtol * max(smax, smax_ref)``: an FFT product leaves roundoff of
+    order eps * ||gamma|| where the exact product vanishes, so an operator
+    whose own top value is such roundoff must be cut against a reference
+    scale, and then has no values above the cut.  Certified truncations have
+    a many-decade spectral gap at the rank cut, so the subspace is captured
+    to machine precision; capture is verified (last sketched value below the
+    cut, or a full-width sketch) and the sketch width doubles until it holds.
     """
-    N = A.shape[0]
-    if N <= _DENSE_SVD_LIMIT:
-        _, svals, vh = np.linalg.svd(A)
-        smax = float(svals.max(initial=0.0))
-        keep = int(np.sum(svals > zero_rtol * smax)) if smax > 0 else 0
-        return svals[:keep], vh[:keep].conj().T, smax
+    N = h.N
     rng = np.random.default_rng(seed)
     k = 24
     while True:
         width = min(N, k + 8)
         omega = rng.standard_normal((N, width)) + 1j * rng.standard_normal((N, width))
-        Y, _ = np.linalg.qr(A @ omega)
+        Y, _ = np.linalg.qr(h.apply(omega, shifted))
         for _ in range(2):
-            Y, _ = np.linalg.qr(A.conj().T @ Y)
-            Y, _ = np.linalg.qr(A @ Y)
-        B = Y.conj().T @ A
+            Y, _ = np.linalg.qr(h.apply(Y, shifted, adjoint=True))
+            Y, _ = np.linalg.qr(h.apply(Y, shifted))
+        B = h.apply(Y, shifted, adjoint=True).conj().T      # Y* A
         _, svals, vh = np.linalg.svd(B, full_matrices=False)
         smax = float(svals.max(initial=0.0))
-        if smax == 0.0:
-            return svals[:0], vh[:0].conj().T, smax
-        if svals[-1] <= zero_rtol * smax or width == N:
-            keep = int(np.sum(svals > zero_rtol * smax))
+        cut = zero_rtol * max(smax, smax_ref)
+        if svals[-1] <= cut or width == N:
+            keep = int(np.sum(svals > cut))
             return svals[:keep], vh[:keep].conj().T, smax
         k *= 2
 
 
-def _level_decomposition(A: np.ndarray, u: np.ndarray, gap: float, zero_rtol: float,
-                         weight_rtol: float, smax_ref: float | None = None):
-    """Split the singular spectrum of a truncation into levels.
+def _level_decomposition(h: HankelMatrix, shifted: bool, u: np.ndarray, gap: float,
+                         zero_rtol: float, weight_rtol: float, smax_ref: float = 0.0):
+    """Split the singular spectrum of Gamma (or Gamma S) into levels.
 
     Diagonalizes A*A through the singular value decomposition of A (the
     direct decomposition keeps small singular values at full absolute
@@ -262,11 +316,11 @@ def _level_decomposition(A: np.ndarray, u: np.ndarray, gap: float, zero_rtol: fl
     Returns (levels, kernel_u_mass, smax) where each level is a dict with
     the singular value, an orthonormal eigenspace basis of A*A, the
     u-projection weight, and the projection of u when it is nonzero; the
-    kernel u-mass is what remains of ||u||^2 below the rank cut.
+    kernel u-mass is what remains of ||u||^2 below the rank cut, taken
+    against ``max(smax, smax_ref)``.
     """
-    svals_desc, vecs, smax = _top_singular_triplets(A, zero_rtol)
-    if smax_ref is not None:
-        smax = max(smax, smax_ref)
+    svals_desc, vecs, smax = _top_singular_triplets(h, shifted, zero_rtol, smax_ref)
+    smax = max(smax, smax_ref)
     if smax <= 0:
         raise DegenerateSpectrumError("zero matrix has no spectral levels")
     n_above = len(svals_desc)
@@ -425,15 +479,14 @@ def forward_extract(h: HankelMatrix, rank_hint: int | None = None,
     on the rest of a lambda eigenspace (where the second polar factor is the
     identity), symmetrically for mu levels.
     """
-    G = h.entries
-    u = np.conj(G[0])
-    GS = h.shifted()
+    u = np.conj(h.gamma[: h.N])     # Gamma* e_0
     residuals: dict = {}
     flags: list[str] = []
 
-    levels, _, smax = _level_decomposition(G, u, cluster_gap, zero_rtol, weight_rtol)
+    levels, _, smax = _level_decomposition(
+        h, False, u, cluster_gap, zero_rtol, weight_rtol)                # Gamma
     levels1, kernel_u, _ = _level_decomposition(
-        GS, u, cluster_gap, zero_rtol, weight_rtol, smax_ref=smax)
+        h, True, u, cluster_gap, zero_rtol, weight_rtol, smax_ref=smax)  # Gamma S
 
     lam_levels = [lv for lv in levels if lv["weighted"]]
     mu_levels = [lv for lv in levels1 if lv["weighted"]]
@@ -468,25 +521,26 @@ def forward_extract(h: HankelMatrix, rank_hint: int | None = None,
     residuals["cluster_spread"] = max(
         [lv["spread"] for lv in levels + levels1] or [0.0]) / smax
 
-    def phase_of(level, A_phase, A_conj):
-        """Scalar phase or circle measure of the polar factor on one level."""
+    def phase_of(level, shifted):
+        """Scalar phase or circle measure of the polar factor of Gamma
+        (Gamma S when ``shifted``) on one level."""
         s = level["value"]
         uk = level["u_proj"]
         uhat = uk / np.linalg.norm(uk)
         if level["basis"].shape[1] == 1:
-            val = complex(np.vdot(uhat, np.conj(A_phase @ uhat) / s))
+            val = complex(np.vdot(uhat, np.conj(h.apply(uhat, shifted)) / s))
             residuals["phase_modulus"] = max(
                 residuals.get("phase_modulus", 0.0), abs(abs(val) - 1.0))
             return val / abs(val)
         Y = _orthogonal_complement_in_level(level["basis"], uk)
-        JY = np.conj(A_conj @ Y) / s
+        JY = np.conj(h.apply(Y, not shifted)) / s
         W = np.column_stack([uhat, Y])
         JW = np.column_stack([uhat, JY])
-        U = W.conj().T @ (np.conj(A_phase @ JW) / s)
+        U = W.conj().T @ (np.conj(h.apply(JW, shifted)) / s)
         return _unitary_spectral_measure(U, residuals)
 
-    xi = tuple(phase_of(lv, G, GS) for lv in lam_levels)
-    eta = tuple(phase_of(lv, GS, G) for lv in mu_levels) + ((None,) if terminal_zero else ())
+    xi = tuple(phase_of(lv, False) for lv in lam_levels)
+    eta = tuple(phase_of(lv, True) for lv in mu_levels) + ((None,) if terminal_zero else ())
 
     # Krylov-real diagnostic: u must be numerically cyclic on the weighted
     # levels, i.e. the real-orthogonalized span of {|Gamma|^m u} has one

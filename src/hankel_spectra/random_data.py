@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import BundleInvariantError
 from .operator_assembly import BlockLayout
 from .spectral_data import (
     AtomicMeasure,
@@ -50,17 +51,24 @@ def _contraction_radius(d: CompactSpectralData) -> float:
 
 def _guarded(draw, max_contraction: float | None, tries: int = 64) -> CompactSpectralData:
     """Redraw until the model contraction decays fast enough to certify a
-    truncation within the size cap; keeps batch trials bounded."""
+    truncation within the size cap; keeps batch trials bounded.  A draw whose
+    operator tuple fails its own invariants is rejected like a slow one."""
     if max_contraction is None:
         return draw()
-    best, best_r = None, np.inf
+    best, best_r, refusal = None, np.inf, None
     for _ in range(tries):
         d = draw()
-        r = _contraction_radius(d)
+        try:
+            r = _contraction_radius(d)
+        except BundleInvariantError as exc:
+            refusal = exc
+            continue
         if r <= max_contraction:
             return d
         if r < best_r:
             best, best_r = d, r
+    if best is None:
+        raise refusal
     return best
 
 

@@ -221,3 +221,42 @@ class TestGaugeRotation:
         with pytest.raises(BundleInvariantError):
             assemble_from_operators(b.R, b.R1, b.p, b.phi @ psi.conj().T,
                                     b.phi1 @ psi.conj().T, b.Jp, b.layout)
+
+
+class TestGeneratorGuard:
+    @pytest.mark.parametrize("generate", ["random_cyclic_data", "random_multiplicity_data"])
+    def test_invariant_failure_rejects_the_draw(self, monkeypatch, generate):
+        # a candidate whose bundle fails its invariants is skipped like a slow
+        # one, and the next candidate comes from the same random stream
+        from hankel_spectra import random_data
+
+        make = getattr(random_data, generate)
+        rng = np.random.default_rng(23)
+        make(rng, 3, terminal_zero=False)                 # the first candidate
+        second = make(rng, 3, terminal_zero=False)
+        assert random_data._contraction_radius(second) <= 0.97
+
+        real = random_data._contraction_radius
+        calls = []
+
+        def radius(d):
+            calls.append(d)
+            if len(calls) == 1:
+                raise BundleInvariantError("bundle violates: phi1 partial isometry")
+            return real(d)
+
+        monkeypatch.setattr(random_data, "_contraction_radius", radius)
+        got = make(np.random.default_rng(23), 3, terminal_zero=False, max_contraction=0.97)
+        assert len(calls) == 2
+        np.testing.assert_array_equal(got.spectrum.lam, second.spectrum.lam)
+        np.testing.assert_array_equal(got.spectrum.mu, second.spectrum.mu)
+
+    def test_all_draws_refused_raises(self, monkeypatch):
+        from hankel_spectra import random_data
+
+        def radius(d):
+            raise BundleInvariantError("bundle violates: phi1 partial isometry")
+
+        monkeypatch.setattr(random_data, "_contraction_radius", radius)
+        with pytest.raises(BundleInvariantError):
+            random_data.random_cyclic_data(np.random.default_rng(0), 2, max_contraction=0.97)

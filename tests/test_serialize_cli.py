@@ -212,3 +212,37 @@ class TestCli:
         rc = main(["roundtrip", "--input", str(FIXTURES / "roundtrip_job.json"),
                    "--output", str(tmp_path / "r.json"), "--seed", "7"])
         assert rc == 0
+
+    def test_failing_trial_keeps_the_report(self, tmp_path, monkeypatch, capsys):
+        from hankel_spectra import cli
+        from hankel_spectra.errors import ClusterAmbiguityError
+
+        job = {"schema": "roundtrip_job.v1", "trials": 16, "n_max": 4, "mode": "cyclic"}
+        job_path = tmp_path / "job.json"
+        job_path.write_text(serialize.dumps(job))
+        bad = cli._trial_data(job, np.random.SeedSequence(5).spawn(16)[3], "cyclic")
+        real = cli.run_roundtrip_trial
+
+        def trial(d, **kwargs):
+            if np.array_equal(d.spectrum.lam, bad.spectrum.lam):
+                raise ClusterAmbiguityError("injected")
+            return real(d, **kwargs)
+
+        monkeypatch.setattr(cli, "run_roundtrip_trial", trial)
+        reports = []
+        for threads in ("1", "2"):
+            monkeypatch.setenv("HANKEL_SPECTRA_THREADS", threads)
+            out = tmp_path / f"report{threads}.json"
+            rc = main(["roundtrip", "--input", str(job_path), "--output", str(out),
+                       "--seed", "5"])
+            assert rc == 3
+            err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+            assert err["error"] == "ClusterAmbiguity" and err["trial"] == 3
+            reports.append(out.read_bytes())
+        assert reports[0] == reports[1]
+        entries = json.loads(reports[0])["trials"]
+        assert [e["trial"] for e in entries] == list(range(16))
+        assert entries[3]["error"] == "ClusterAmbiguity"
+        assert all(entries[3][k] == "inf" for k in ("lam", "mu", "weights", "phases"))
+        assert entries[3]["N"] is None
+        assert all("error" not in e and e["lam"] < 1e-8 for e in entries if e["trial"] != 3)
