@@ -37,8 +37,6 @@ from .operator_assembly import (
     assemble_from_operators,
     assemble_multiplicity,
     conjugation_check,
-    sigma_star,
-    stability_operator_A,
 )
 from .roundtrip import roundtrip_errors, run_roundtrip_trial
 from .spectral_data import (
@@ -88,8 +86,6 @@ __all__ = [
     "reflect_measure",
     "roundtrip_errors",
     "run_roundtrip_trial",
-    "sigma_star",
-    "stability_operator_A",
     "stability_report",
     "validate_intertwining",
 ]

@@ -8,9 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -25,17 +23,14 @@ from .random_data import random_cyclic_data, random_multiplicity_data
 from .roundtrip import run_roundtrip_trial
 from .stability import stability_report
 
-THREADS_ENV = "HANKEL_SPECTRA_THREADS"
-
 
 @dataclass
 class Tolerances:
-    pole_tol: float = 1e-12
     cluster_gap: float = 1e-6
     cert_tail: float = 1e-12
 
     def __post_init__(self):
-        if min(self.pole_tol, self.cluster_gap, self.cert_tail) <= 0:
+        if min(self.cluster_gap, self.cert_tail) <= 0:
             raise SchemaError("tolerances must be positive")
 
 
@@ -107,22 +102,17 @@ def _cmd_roundtrip(cfg: JobConfig) -> int:
     keys = ("lam", "mu", "weights", "phases")
     if doc.get("schema") == "roundtrip_job.v1":
         trials = int(doc.get("trials", 10))
-        seeds = np.random.SeedSequence(cfg.seed).spawn(trials)
-        workers = int(os.environ.get(THREADS_ENV, "0")) or min(trials, os.cpu_count() or 1)
-
-        def one(i: int) -> dict:
+        results = []
+        for i, seed_seq in enumerate(np.random.SeedSequence(cfg.seed).spawn(trials)):
             try:
-                data = _trial_data(doc, seeds[i], cfg.mode)
+                data = _trial_data(doc, seed_seq, cfg.mode)
                 errs = run_roundtrip_trial(data, truncation=cfg.truncation,
                                            tail_tol=tols.cert_tail,
                                            cluster_gap=tols.cluster_gap)
             except HankelSpectraError as exc:
                 errs = dict.fromkeys(keys, float("inf")) | {"N": None, "error": exc}
             errs["trial"] = i
-            return errs
-
-        with ThreadPoolExecutor(max_workers=max(1, workers)) as pool:
-            results = list(pool.map(one, range(trials)))
+            results.append(errs)
     else:
         data = serialize.parse_spectral_data(doc)
         errs = run_roundtrip_trial(data, truncation=cfg.truncation,
@@ -228,7 +218,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--truncation", default="auto",
                        help="truncation size N, or 'auto' for certified decay")
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--tol-pole", type=float, default=1e-12)
         p.add_argument("--tol-gap", type=float, default=1e-6)
         p.add_argument("--tol-tail", type=float, default=1e-12)
         p.add_argument("--mode", choices=("cyclic", "multiplicity"), default="cyclic")
@@ -243,8 +232,7 @@ def main(argv=None) -> int:
             input=args.input,
             output=args.output,
             truncation=args.truncation,
-            tolerances=Tolerances(pole_tol=args.tol_pole, cluster_gap=args.tol_gap,
-                                  cert_tail=args.tol_tail),
+            tolerances=Tolerances(cluster_gap=args.tol_gap, cert_tail=args.tol_tail),
             seed=args.seed,
             mode=args.mode,
         )

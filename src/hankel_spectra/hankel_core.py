@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import islice
 
 import numpy as np
 import scipy.linalg
@@ -24,7 +25,7 @@ from .errors import (
     NotHankelError,
     TruncationTooSmallError,
 )
-from .operator_assembly import OperatorBundle, assemble
+from .operator_assembly import OperatorBundle, assemble, orbit
 from .spectral_data import (
     AtomicMeasure,
     CompactSpectralData,
@@ -39,6 +40,9 @@ CLUSTER_JOIN_FRAC = 0.01   # below join_frac * gap two values count as one level
 ZERO_CUT_RTOL = 1e-8       # relative cut below which singular values are kernel
 WEIGHT_RTOL = 1e-10        # relative u-mass that marks a level as weighted
 ANTIDIAG_RTOL = 1e-8
+KRYLOV_DROP_RTOL = 1e-8    # residual (relative to ||u||) below which a Krylov vector is dependent
+KRYLOV_ORTHO_TOL = 1e-8    # loss of orthogonality that triggers the pivoted restart
+RANGE_FINDER_SEED = 17     # fixed sketch seed: reruns give byte-identical outputs
 
 
 def _fft_length(n: int) -> int:
@@ -148,7 +152,7 @@ class HankelMatrix:
     def singular_values(self) -> np.ndarray:
         """All N singular values, descending: those above ZERO_CUT_RTOL * sigma_1
         as the range finder captures them, then exact zeros."""
-        svals, _, _ = _top_singular_triplets(self, shifted=False, zero_rtol=ZERO_CUT_RTOL)
+        svals, _, _ = _top_singular_triplets(self, shifted=False)
         return np.concatenate([svals, np.zeros(self.N - len(svals))])
 
 
@@ -160,16 +164,10 @@ def gamma_sequence(b: OperatorBundle, K: int) -> np.ndarray:
     """
     if K < 0:
         raise ValueError("K must be nonnegative")
-    gamma = np.empty(K + 1, dtype=complex)
-    other = np.empty(K + 1, dtype=complex)
-    x = b.p.astype(complex)
-    y = b.p.astype(complex)
-    for k in range(K + 1):
-        gamma[k] = np.vdot(x, b.q)       # <q, (Sigma*)^k p>
-        other[k] = np.vdot(b.qhat, y)    # <(Sigma-hat*)^k p, q-hat>
-        if k < K:
-            x = b.sigma_star @ x
-            y = b.sigma_hat_star @ y
+    gamma = np.fromiter((np.vdot(x, b.q)                  # <q, (Sigma*)^k p>
+                         for x in islice(orbit(b.sigma_star, b.p), K + 1)), complex, K + 1)
+    other = np.fromiter((np.vdot(b.qhat, y)               # <(Sigma-hat*)^k p, q-hat>
+                         for y in islice(orbit(b.sigma_hat_star, b.p), K + 1)), complex, K + 1)
     drift = float(np.abs(gamma - other).max())
     if drift > GAMMA_CROSS_CHECK_TOL * max(1.0, float(np.abs(gamma).max())):
         raise InternalConsistencyError(
@@ -177,17 +175,15 @@ def gamma_sequence(b: OperatorBundle, K: int) -> np.ndarray:
     return gamma
 
 
-def certified_truncation(b: OperatorBundle, tail_tol: float = TAIL_TOL,
-                         cap: int = TRUNCATION_CAP) -> int:
-    """Smallest N with ||(Sigma*)^N p|| <= tail_tol (geometric decay)."""
-    x = b.p.astype(complex)
+def certified_truncation(b: OperatorBundle, tail_tol: float = TAIL_TOL) -> int:
+    """Smallest N >= dim + 2 with ||(Sigma*)^N p|| <= tail_tol (geometric
+    decay), at most TRUNCATION_CAP."""
     floor = b.dim + 2
-    for k in range(1, cap + 1):
-        x = b.sigma_star @ x
-        if float(np.linalg.norm(x)) <= tail_tol and k >= floor:
+    for k, x in enumerate(islice(orbit(b.sigma_star, b.p), TRUNCATION_CAP + 1)):
+        if k >= floor and float(np.linalg.norm(x)) <= tail_tol:
             return k
     raise TruncationTooSmallError(
-        f"tail bound {tail_tol:.1e} not reached within {cap} steps")
+        f"tail bound {tail_tol:.1e} not reached within {TRUNCATION_CAP} steps")
 
 
 def hankel_from_bundle(b: OperatorBundle, N: int | str = "auto",
@@ -199,10 +195,7 @@ def hankel_from_bundle(b: OperatorBundle, N: int | str = "auto",
         if N < 1:
             raise TruncationTooSmallError("N must be at least 1")
         if certified:
-            x = b.p.astype(complex)
-            for _ in range(N):
-                x = b.sigma_star @ x
-            tail = float(np.linalg.norm(x))
+            tail = float(np.linalg.norm(next(islice(orbit(b.sigma_star, b.p), N, None))))
             if tail > tail_tol:
                 raise TruncationTooSmallError(
                     f"||(Sigma*)^{N} p|| = {tail:.3e} exceeds {tail_tol:.1e}")
@@ -271,14 +264,13 @@ def _cluster_levels(svals_desc: np.ndarray, smax: float, gap: float):
     return clusters
 
 
-def _top_singular_triplets(h: HankelMatrix, shifted: bool, zero_rtol: float,
-                           smax_ref: float = 0.0, seed: int = 17):
+def _top_singular_triplets(h: HankelMatrix, shifted: bool, smax_ref: float = 0.0):
     """Singular values of A = Gamma (or Gamma S when ``shifted``) above the
     zero cut, their right vectors, and A's top singular value.
 
     A seeded randomized range finder (Halko-Martinsson-Tropp) with two power
     iterations, driven through :meth:`HankelMatrix.apply`.  The cut is
-    ``zero_rtol * max(smax, smax_ref)``: an FFT product leaves roundoff of
+    ``ZERO_CUT_RTOL * max(smax, smax_ref)``: an FFT product leaves roundoff of
     order eps * ||gamma|| where the exact product vanishes, so an operator
     whose own top value is such roundoff must be cut against a reference
     scale, and then has no values above the cut.  Certified truncations have
@@ -287,7 +279,7 @@ def _top_singular_triplets(h: HankelMatrix, shifted: bool, zero_rtol: float,
     cut, or a full-width sketch) and the sketch width doubles until it holds.
     """
     N = h.N
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(RANGE_FINDER_SEED)
     k = 24
     while True:
         width = min(N, k + 8)
@@ -299,7 +291,7 @@ def _top_singular_triplets(h: HankelMatrix, shifted: bool, zero_rtol: float,
         B = h.apply(Y, shifted, adjoint=True).conj().T      # Y* A
         _, svals, vh = np.linalg.svd(B, full_matrices=False)
         smax = float(svals.max(initial=0.0))
-        cut = zero_rtol * max(smax, smax_ref)
+        cut = ZERO_CUT_RTOL * max(smax, smax_ref)
         if svals[-1] <= cut or width == N:
             keep = int(np.sum(svals > cut))
             return svals[:keep], vh[:keep].conj().T, smax
@@ -307,7 +299,7 @@ def _top_singular_triplets(h: HankelMatrix, shifted: bool, zero_rtol: float,
 
 
 def _level_decomposition(h: HankelMatrix, shifted: bool, u: np.ndarray, gap: float,
-                         zero_rtol: float, weight_rtol: float, smax_ref: float = 0.0):
+                         smax_ref: float = 0.0):
     """Split the singular spectrum of Gamma (or Gamma S) into levels.
 
     Diagonalizes A*A through the singular value decomposition of A (the
@@ -319,7 +311,7 @@ def _level_decomposition(h: HankelMatrix, shifted: bool, u: np.ndarray, gap: flo
     kernel u-mass is what remains of ||u||^2 below the rank cut, taken
     against ``max(smax, smax_ref)``.
     """
-    svals_desc, vecs, smax = _top_singular_triplets(h, shifted, zero_rtol, smax_ref)
+    svals_desc, vecs, smax = _top_singular_triplets(h, shifted, smax_ref)
     smax = max(smax, smax_ref)
     if smax <= 0:
         raise DegenerateSpectrumError("zero matrix has no spectral levels")
@@ -335,7 +327,7 @@ def _level_decomposition(h: HankelMatrix, shifted: bool, u: np.ndarray, gap: flo
             mass_above += w
             value = float(np.mean(svals_desc[cluster]))
             spread = float(svals_desc[cluster[0]] - svals_desc[cluster[-1]])
-            weighted = w > weight_rtol * max(u_mass, 1e-300)
+            weighted = w > WEIGHT_RTOL * max(u_mass, 1e-300)
             uk = basis @ coords if weighted else None
             levels.append({
                 "value": value, "basis": basis, "weight": w, "spread": spread,
@@ -375,14 +367,13 @@ def _unitary_spectral_measure(U: np.ndarray, residuals: dict) -> AtomicMeasure:
     return AtomicMeasure(points=atoms, weights=weights, circle=True, probability=True)
 
 
-def krylov_real_basis(apply_op, u: np.ndarray, max_dim: int,
-                      drop_tol: float = 1e-8, ortho_tol: float = 1e-8):
+def krylov_real_basis(apply_op, u: np.ndarray, max_dim: int):
     """Orthonormalize the Krylov vectors of (|Gamma|, u) with real coefficients.
 
     In exact arithmetic the Gram matrix of {|Gamma|^m u} is real, so modified
     Gram-Schmidt with real projection coefficients produces a basis in which
     the canonical conjugation acts as entrywise conjugation.  If orthogonality
-    degrades past ``ortho_tol`` the build restarts with column pivoting.
+    degrades past KRYLOV_ORTHO_TOL the build restarts with column pivoting.
 
     Returns (basis matrix, orthogonality residual, max imaginary leak).
     """
@@ -401,14 +392,14 @@ def krylov_real_basis(apply_op, u: np.ndarray, max_dim: int,
                 imag_leak = max(imag_leak, abs(c.imag) / max(norm_u, 1e-300))
                 v -= c.real * b
             nrm = float(np.linalg.norm(v))
-            if nrm > drop_tol * norm_u:
+            if nrm > KRYLOV_DROP_RTOL * norm_u:
                 basis.append(v / nrm)
         return basis, imag_leak
 
     basis, imag_leak = mgs(range(len(vectors)))
     B = np.column_stack(basis) if basis else np.zeros((len(u), 0), dtype=complex)
     ortho = float(np.linalg.norm(B.conj().T @ B - np.eye(B.shape[1])))
-    if ortho > ortho_tol:
+    if ortho > KRYLOV_ORTHO_TOL:
         # pivoted restart: greedily take the vector with the largest residual
         remaining = list(range(len(vectors)))
         basis = []
@@ -425,13 +416,21 @@ def krylov_real_basis(apply_op, u: np.ndarray, max_dim: int,
                 residual_vecs.append(v)
                 residual_norms.append(float(np.linalg.norm(v)))
             j = int(np.argmax(residual_norms))
-            if residual_norms[j] <= drop_tol * norm_u:
+            if residual_norms[j] <= KRYLOV_DROP_RTOL * norm_u:
                 break
             basis.append(residual_vecs[j] / residual_norms[j])
             remaining.pop(j)
         B = np.column_stack(basis) if basis else np.zeros((len(u), 0), dtype=complex)
         ortho = float(np.linalg.norm(B.conj().T @ B - np.eye(B.shape[1])))
     return B, ortho, imag_leak
+
+
+def _as_measure(v) -> AtomicMeasure:
+    """A level's phase data as a circle measure: a unimodular scalar becomes
+    its point mass, a measure is returned as it is."""
+    if isinstance(v, AtomicMeasure):
+        return v
+    return AtomicMeasure(points=[complex(v)], weights=[1.0], circle=True, probability=True)
 
 
 @dataclass(frozen=True, eq=False)
@@ -458,17 +457,12 @@ class ForwardData:
         if self.mode == "cyclic":
             eta = [e if e is not None else 0j for e in self.eta]
             return CompactSpectralData.cyclic(spectrum, self.xi, eta)
-        to_measure = lambda v: v if isinstance(v, AtomicMeasure) else AtomicMeasure(
-            points=[complex(v)], weights=[1.0], circle=True, probability=True)
-        rho = [to_measure(v) for v in self.xi]
-        rho1 = [None if v is None else to_measure(v) for v in self.eta]
+        rho = [_as_measure(v) for v in self.xi]
+        rho1 = [None if v is None else _as_measure(v) for v in self.eta]
         return CompactSpectralData.multiplicity(spectrum, rho, rho1)
 
 
-def forward_extract(h: HankelMatrix, rank_hint: int | None = None,
-                    cluster_gap: float = CLUSTER_GAP,
-                    zero_rtol: float = ZERO_CUT_RTOL,
-                    weight_rtol: float = WEIGHT_RTOL) -> ForwardData:
+def forward_extract(h: HankelMatrix, cluster_gap: float = CLUSTER_GAP) -> ForwardData:
     """Recover spectral data from a truncated Hankel matrix.
 
     Levels of |Gamma| carrying u-mass are the lambda levels (weights w_k);
@@ -483,28 +477,23 @@ def forward_extract(h: HankelMatrix, rank_hint: int | None = None,
     residuals: dict = {}
     flags: list[str] = []
 
-    levels, _, smax = _level_decomposition(
-        h, False, u, cluster_gap, zero_rtol, weight_rtol)                # Gamma
-    levels1, kernel_u, _ = _level_decomposition(
-        h, True, u, cluster_gap, zero_rtol, weight_rtol, smax_ref=smax)  # Gamma S
+    levels, _, smax = _level_decomposition(h, False, u, cluster_gap)                  # Gamma
+    levels1, kernel_u, _ = _level_decomposition(h, True, u, cluster_gap, smax_ref=smax)  # Gamma S
 
     lam_levels = [lv for lv in levels if lv["weighted"]]
     mu_levels = [lv for lv in levels1 if lv["weighted"]]
-    if rank_hint is not None and len(lam_levels) != rank_hint:
-        raise ClusterAmbiguityError(
-            f"found {len(lam_levels)} weighted levels, rank hint was {rank_hint}")
     n = len(lam_levels)
     if n == 0:
         raise DegenerateSpectrumError("no weighted singular-value level found")
     u_mass = float(np.vdot(u, u).real)
 
     if len(mu_levels) == n - 1:
-        if kernel_u <= weight_rtol * u_mass:
+        if kernel_u <= WEIGHT_RTOL * u_mass:
             raise ClusterAmbiguityError(
                 "mu-level count says terminal zero but the kernel carries no u-mass")
         terminal_zero = True
     elif len(mu_levels) == n:
-        if kernel_u > np.sqrt(weight_rtol) * u_mass:
+        if kernel_u > np.sqrt(WEIGHT_RTOL) * u_mass:
             raise ClusterAmbiguityError(
                 "kernel carries u-mass but all mu levels are positive")
         terminal_zero = False

@@ -12,6 +12,7 @@ is entrywise -- its matrix representation is the identity.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -82,7 +83,7 @@ class OperatorBundle:
 
     ``Jp`` stores the conjugation as a matrix ``C`` acting by
     ``x -> C @ conj(x)``; ``C`` is unitary and symmetric, which encodes
-    involutivity.
+    involutivity.  ``sigma_hat_star`` and ``A`` are derived on first read.
     """
 
     dim: int
@@ -95,8 +96,6 @@ class OperatorBundle:
     phi1: np.ndarray
     Jp: np.ndarray
     sigma_star: np.ndarray
-    sigma_hat_star: np.ndarray
-    A: np.ndarray
     layout: BlockLayout
 
     def conjugate(self, x: np.ndarray) -> np.ndarray:
@@ -106,6 +105,37 @@ class OperatorBundle:
     @property
     def r_norm(self) -> float:
         return float(np.linalg.norm(self.R, 2))
+
+    @cached_property
+    def sigma_hat_star(self) -> np.ndarray:
+        """``Jp Sigma* Jp = phi1* R1 R^{-1} phi``."""
+        return self.phi1.conj().T @ self.R1 @ np.linalg.solve(self.R, self.phi)
+
+    @cached_property
+    def A(self) -> np.ndarray:
+        """``A = Q* phi1 Q phi*`` with ``Q = R1^{1/2} R^{-1/2}``.
+
+        A is a contraction intertwined with Sigma* through R^{1/2}:
+        ``Sigma* R^{1/2} = R^{1/2} A``.
+        """
+        scale = self.r_norm ** 2
+        r_half, _, _ = _psd_sqrt(self.R, scale)
+        r1_half, _, _ = _psd_sqrt(self.R1, scale)
+        Q = r1_half @ np.linalg.inv(r_half)
+        return Q.conj().T @ self.phi1 @ Q @ self.phi.conj().T
+
+
+def orbit(M: np.ndarray, v: np.ndarray):
+    """Yield ``v, Mv, M^2 v, ...`` without end; the caller takes what it needs.
+
+    Every walk of the model contraction (the symbol, the truncation tail, the
+    decay profile) and the Krylov ranks of the phase operators step through
+    this one generator, so each computes ``x <- M @ x`` the same way.
+    """
+    x = v
+    while True:
+        yield x
+        x = M @ x
 
 
 def _psd_sqrt(W: np.ndarray, scale: float):
@@ -147,38 +177,6 @@ def _eig_match_tol(lam, mu, scale2: float) -> float:
     return max(min(1e-6 * scale2, 0.25 * min_gap), 1e-13 * scale2)
 
 
-def sigma_star(b: OperatorBundle) -> np.ndarray:
-    """``Sigma* = phi1 R1 R^{-1} phi*``, the model backward shift."""
-    return _sigma_star(b.R, b.R1, b.phi, b.phi1)
-
-
-def sigma_hat_star(b: OperatorBundle) -> np.ndarray:
-    """``Jp Sigma* Jp = phi1* R1 R^{-1} phi``."""
-    return b.phi1.conj().T @ b.R1 @ np.linalg.solve(b.R, b.phi)
-
-
-def _sigma_star(R, R1, phi, phi1) -> np.ndarray:
-    return phi1 @ R1 @ np.linalg.solve(R, phi.conj().T)
-
-
-def stability_operator_A(b: OperatorBundle) -> np.ndarray:
-    """``A = Q* phi1 Q phi*`` with ``Q = R1^{1/2} R^{-1/2}``.
-
-    A is a contraction intertwined with Sigma* through R^{1/2}:
-    ``Sigma* R^{1/2} = R^{1/2} A``.
-    """
-    return _stability_A(b.R, b.R1, b.phi, b.phi1)
-
-
-def _stability_A(R, R1, phi, phi1) -> np.ndarray:
-    scale = float(np.linalg.norm(R, 2)) ** 2
-    r_half, _, _ = _psd_sqrt(R, scale)
-    r1_half, _, _ = _psd_sqrt(R1, scale)
-    r_neg_half = np.linalg.inv(r_half)
-    Q = r1_half @ r_neg_half
-    return Q.conj().T @ phi1 @ Q @ phi.conj().T
-
-
 def assemble_from_operators(R, R1, p, phi, phi1, C, layout: BlockLayout,
                             validate: bool = True) -> OperatorBundle:
     """Finish a bundle from its constituent operators and check the invariants.
@@ -194,12 +192,10 @@ def assemble_from_operators(R, R1, p, phi, phi1, C, layout: BlockLayout,
     C = np.asarray(C, dtype=complex)
     q = phi @ np.linalg.solve(R, p)
     qhat = C @ np.conj(q)
-    sigma = _sigma_star(R, R1, phi, phi1)
-    sigma_hat = phi1.conj().T @ R1 @ np.linalg.solve(R, phi)
-    A = _stability_A(R, R1, phi, phi1)
+    sigma = phi1 @ R1 @ np.linalg.solve(R, phi.conj().T)  # Sigma* = phi1 R1 R^{-1} phi*
     bundle = OperatorBundle(
         dim=len(p), R=R, R1=R1, p=p, q=q, qhat=qhat, phi=phi, phi1=phi1,
-        Jp=C, sigma_star=sigma, sigma_hat_star=sigma_hat, A=A, layout=layout)
+        Jp=C, sigma_star=sigma, layout=layout)
     if validate:
         _validate_bundle(bundle)
     return bundle

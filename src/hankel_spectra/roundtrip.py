@@ -10,15 +10,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .hankel_core import ForwardData, forward_extract, hankel_from_bundle
+from .hankel_core import ForwardData, _as_measure, forward_extract, hankel_from_bundle
 from .operator_assembly import assemble, level_projections
 from .spectral_data import AtomicMeasure, CompactSpectralData
-
-
-def _as_measure(v) -> AtomicMeasure:
-    if isinstance(v, AtomicMeasure):
-        return v
-    return AtomicMeasure(points=[complex(v)], weights=[1.0], circle=True, probability=True)
 
 
 def measure_difference(a: AtomicMeasure, b: AtomicMeasure) -> float:

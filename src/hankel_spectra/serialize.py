@@ -160,8 +160,11 @@ def parse_hankel(doc: dict) -> HankelMatrix:
     _check_schema(doc, "hankel.v1")
     gamma = _parse_cvec(_require(doc, "gamma", "hankel.v1"), "gamma")
     n = _require(doc, "N", "hankel.v1")
-    if not isinstance(n, int) or n < 1:
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
         raise SchemaError("hankel.v1: N must be a positive integer")
+    if len(gamma) != 2 * n - 1:
+        raise SchemaError(f"hankel.v1: N = {n} needs 2N - 1 = {2 * n - 1} gamma values, "
+                          f"got {len(gamma)}")
     return HankelMatrix.from_gamma(gamma, n)
 
 

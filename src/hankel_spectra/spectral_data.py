@@ -271,30 +271,25 @@ def borg_weights(s: IntertwinedSpectrum) -> AtomicMeasure:
 class KernelConditions:
     """Finite-rank kernel flags plus truncation diagnostics.
 
-    At finite rank ``norm_is_one`` holds exactly when the terminal mu is 0 and
-    the range condition never holds, so ``trivial_kernel`` is always False.
-    The partial sums are reported for user-supplied truncations of infinite
-    data; no convergence claim is attached to them.
+    At finite rank ``norm_is_one`` holds exactly when the terminal mu is 0.
+    The range condition q not in Ran R never holds there, so the kernel is
+    never trivial and neither is recorded.  The partial sums are reported for
+    user-supplied truncations of infinite data; no convergence claim is
+    attached to them.
     """
 
     norm_is_one: bool
-    q_not_in_ran_R: bool
-    trivial_kernel: bool
     partial_sum_norm: float = field(default=math.inf)
     partial_sum_range: float = field(default=0.0)
 
 
 def kernel_conditions(s: IntertwinedSpectrum) -> KernelConditions:
-    norm_is_one = s.has_terminal_zero
-    q_not_in_ran = False
     with np.errstate(divide="ignore"):
         ratios = np.where(s.mu2 > 0, s.lam2 / np.where(s.mu2 > 0, s.mu2, 1.0), np.inf)
     partial_norm = float(np.sum(ratios - 1.0))
     partial_range = float(np.sum(s.mu2[:-1] / s.lam2[1:] - 1.0)) if s.n > 1 else 0.0
     return KernelConditions(
-        norm_is_one=norm_is_one,
-        q_not_in_ran_R=q_not_in_ran,
-        trivial_kernel=norm_is_one and q_not_in_ran,
+        norm_is_one=s.has_terminal_zero,
         partial_sum_norm=partial_norm,
         partial_sum_range=partial_range,
     )

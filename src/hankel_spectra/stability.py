@@ -11,10 +11,11 @@ reducing part of A.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import islice
 
 import numpy as np
 
-from .operator_assembly import OperatorBundle, _psd_sqrt, level_projections
+from .operator_assembly import OperatorBundle, _psd_sqrt, level_projections, orbit
 
 KRYLOV_RANK_RTOL = 1e-10
 
@@ -46,15 +47,9 @@ class StabilityReport:
 
 def _krylov_rank(op: np.ndarray, vec: np.ndarray, span: int) -> int:
     """Numerical rank of span{op^m vec : |m| <= span} (op unitary on its range)."""
-    cols = [vec]
-    x = vec
-    y = vec
-    op_h = op.conj().T
-    for _ in range(span):
-        x = op @ x
-        y = op_h @ y
-        cols.extend([x, y])
-    mat = np.column_stack(cols)
+    forward = islice(orbit(op, vec), 1, span + 1)
+    backward = islice(orbit(op.conj().T, vec), 1, span + 1)
+    mat = np.column_stack([vec] + [v for pair in zip(forward, backward) for v in pair])
     svals = np.linalg.svd(mat, compute_uv=False)
     if svals.size == 0 or svals[0] == 0:
         return 0
@@ -88,12 +83,8 @@ def stability_report(b: OperatorBundle, K: int = 200) -> StabilityReport:
     """Spectral radius of Sigma*, decay of ||(Sigma*)^k p||, and the
     intertwining residual ||Sigma* R^{1/2} - R^{1/2} A||."""
     radius = float(np.abs(np.linalg.eigvals(b.sigma_star)).max())
-    profile = np.empty(K + 1)
-    x = b.p.astype(complex)
-    for k in range(K + 1):
-        profile[k] = float(np.linalg.norm(x))
-        if k < K:
-            x = b.sigma_star @ x
+    profile = np.fromiter((np.linalg.norm(x) for x in islice(orbit(b.sigma_star, b.p), K + 1)),
+                          float, K + 1)
     r_half, _, _ = _psd_sqrt(b.R, b.r_norm**2)
     residual = float(np.linalg.norm(b.sigma_star @ r_half - r_half @ b.A))
     norm_a = float(np.linalg.norm(b.A, 2))

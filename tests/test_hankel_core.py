@@ -264,11 +264,6 @@ class TestForwardExtract:
         assert errs["phases"] <= 1e-6
         assert errs["weights"] <= 1e-6
 
-    def test_rank_hint_mismatch(self, rank2_data):
-        h = hs.hankel_from_data(rank2_data)
-        with pytest.raises(ClusterAmbiguityError):
-            hs.forward_extract(h, rank_hint=3)
-
 
 class TestIsometrySurrogate:
     def test_telescoping_identity(self, bundle_corpus):

@@ -129,7 +129,7 @@ class TestKernelOfR1:
 class TestSigmaStar:
     def test_rank1_is_zero(self, rank1_data):
         b = hs.assemble_cyclic(rank1_data)
-        np.testing.assert_allclose(hs.sigma_star(b), [[0.0]], atol=1e-14)
+        np.testing.assert_allclose(b.sigma_star, [[0.0]], atol=1e-14)
 
     def test_defect_identity(self, bundle_corpus):
         for b in bundle_corpus:
@@ -151,7 +151,7 @@ class TestSigmaStar:
 class TestStabilityOperator:
     def test_rank1_is_zero(self, rank1_data):
         b = hs.assemble_cyclic(rank1_data)
-        np.testing.assert_allclose(hs.stability_operator_A(b), [[0.0]], atol=1e-14)
+        np.testing.assert_allclose(b.A, [[0.0]], atol=1e-14)
 
     def test_intertwining(self, bundle_corpus):
         for b in bundle_corpus:
@@ -260,3 +260,51 @@ class TestGeneratorGuard:
         monkeypatch.setattr(random_data, "_contraction_radius", radius)
         with pytest.raises(BundleInvariantError):
             random_data.random_cyclic_data(np.random.default_rng(0), 2, max_contraction=0.97)
+
+
+class TestSigmaStarOrbit:
+    """The symbol, the certified truncation and the decay profile all walk
+    the orbit (Sigma*)^k p; each must match the matrix power."""
+
+    K = 200
+
+    @staticmethod
+    def powers(b, K):
+        return [np.linalg.matrix_power(b.sigma_star, k) @ b.p for k in range(K + 1)]
+
+    def test_decay_profile(self, bundle_corpus):
+        for b in bundle_corpus:
+            ref = [np.linalg.norm(x) for x in self.powers(b, self.K)]
+            profile = hs.stability_report(b, self.K).decay_profile
+            np.testing.assert_allclose(profile, ref, rtol=1e-12,
+                                       atol=1e-12 * np.linalg.norm(b.p))
+
+    def test_gamma_sequence(self, bundle_corpus):
+        for b in bundle_corpus:
+            ref = [np.vdot(x, b.q) for x in self.powers(b, self.K)]
+            np.testing.assert_allclose(hs.gamma_sequence(b, self.K), ref, rtol=1e-12,
+                                       atol=1e-12 * np.linalg.norm(b.p) * np.linalg.norm(b.q))
+
+    def test_certified_truncation(self, bundle_corpus):
+        from hankel_spectra.hankel_core import TAIL_TOL
+
+        for b in bundle_corpus:
+            k = b.dim + 2
+            while np.linalg.norm(np.linalg.matrix_power(b.sigma_star, k) @ b.p) > TAIL_TOL:
+                k += 1
+            assert hs.certified_truncation(b) == k
+
+
+class TestLazyFields:
+    def test_derived_on_first_read(self, rank2_data):
+        rng = np.random.default_rng(7)
+        for d in (rank2_data, random_multiplicity_data(rng, 2, max_atoms=3)):
+            b = hs.assemble(d)
+            assert "A" not in vars(b) and "sigma_hat_star" not in vars(b)
+            A = b.A
+            assert "A" in vars(b) and "sigma_hat_star" not in vars(b)
+            assert b.A is A
+            hat = b.sigma_hat_star
+            assert b.sigma_hat_star is hat
+            np.testing.assert_allclose(
+                hat, b.phi1.conj().T @ b.R1 @ np.linalg.solve(b.R, b.phi), atol=1e-14)

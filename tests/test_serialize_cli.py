@@ -57,6 +57,15 @@ class TestSchemas:
         np.testing.assert_allclose(back.sigma_star, b.sigma_star, atol=1e-14)
         assert serialize.emit_bundle(back) == doc
 
+    @pytest.mark.parametrize("gamma, N", [
+        ([[1, 0], [0.5, 0]], 6),                  # too short: was zero-padded to 11 values
+        ([[0.5 ** k, 0] for k in range(50)], 3),  # too long: was cut to 5 values
+        ([[1, 0]], True),                         # a bool is not an integer N
+    ])
+    def test_hankel_length_and_N_checked(self, gamma, N):
+        with pytest.raises(SchemaError):
+            serialize.parse_hankel({"schema": "hankel.v1", "gamma": gamma, "N": N})
+
     def test_blaschke_roundtrip(self):
         theta = hs.BlaschkeProduct(zeros=[0.0, 0.3 + 0.1j], constant=np.exp(0.2j))
         doc = serialize.emit_blaschke(theta)
@@ -199,6 +208,15 @@ class TestCli:
             assert rc == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_analyze_rejects_malformed_hankel(self, tmp_path, capsys):
+        path = tmp_path / "h.json"
+        path.write_text(serialize.dumps({"schema": "hankel.v1", "gamma": [[1, 0], [0.5, 0]],
+                                         "N": 6}))
+        rc = main(["analyze", "--input", str(path), "--output", str(tmp_path / "f.json")])
+        assert rc == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "Schema"
+        assert not (tmp_path / "f.json").exists()
+
     def test_seed_changes_trials(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         main(["roundtrip", "--input", str(FIXTURES / "roundtrip_job.json"),
@@ -206,12 +224,6 @@ class TestCli:
         main(["roundtrip", "--input", str(FIXTURES / "roundtrip_job.json"),
               "--output", str(b), "--seed", "8"])
         assert a.read_bytes() != b.read_bytes()
-
-    def test_thread_cap_respected(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("HANKEL_SPECTRA_THREADS", "1")
-        rc = main(["roundtrip", "--input", str(FIXTURES / "roundtrip_job.json"),
-                   "--output", str(tmp_path / "r.json"), "--seed", "7"])
-        assert rc == 0
 
     def test_failing_trial_keeps_the_report(self, tmp_path, monkeypatch, capsys):
         from hankel_spectra import cli
@@ -230,9 +242,8 @@ class TestCli:
 
         monkeypatch.setattr(cli, "run_roundtrip_trial", trial)
         reports = []
-        for threads in ("1", "2"):
-            monkeypatch.setenv("HANKEL_SPECTRA_THREADS", threads)
-            out = tmp_path / f"report{threads}.json"
+        for run in ("a", "b"):
+            out = tmp_path / f"report_{run}.json"
             rc = main(["roundtrip", "--input", str(job_path), "--output", str(out),
                        "--seed", "5"])
             assert rc == 3

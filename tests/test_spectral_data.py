@@ -128,18 +128,18 @@ class TestBorgWeights:
 class TestKernelConditions:
     def test_terminal_zero(self, rank2_spectrum):
         flags = hs.kernel_conditions(rank2_spectrum)
-        assert flags.norm_is_one and not flags.q_not_in_ran_R and not flags.trivial_kernel
+        assert flags.norm_is_one
 
     def test_positive_terminal(self):
         s = hs.validate_intertwining([2.0, 1.0], [np.sqrt(2.0), 0.5])
         flags = hs.kernel_conditions(s)
         assert flags == hs.kernel_conditions(s)  # deterministic record
-        assert not flags.norm_is_one and not flags.trivial_kernel
+        assert not flags.norm_is_one
         assert np.isfinite(flags.partial_sum_norm)
 
     def test_rank1(self):
         flags = hs.kernel_conditions(hs.validate_intertwining([1.0], [0.0]))
-        assert flags.norm_is_one and not flags.q_not_in_ran_R and not flags.trivial_kernel
+        assert flags.norm_is_one
         assert flags.partial_sum_norm == np.inf
 
 
