@@ -17,7 +17,7 @@ import numpy as np
 from . import serialize
 from .clark import gp_convert_to_inner, gp_convert_to_measures
 from .errors import HankelSpectraError, SchemaError
-from .hankel_core import forward_extract, hankel_from_bundle
+from .hankel_core import CLUSTER_GAP, TAIL_TOL, forward_extract, hankel_from_bundle
 from .operator_assembly import assemble
 from .random_data import random_cyclic_data, random_multiplicity_data
 from .roundtrip import run_roundtrip_trial
@@ -26,8 +26,8 @@ from .stability import stability_report
 
 @dataclass
 class Tolerances:
-    cluster_gap: float = 1e-6
-    cert_tail: float = 1e-12
+    cluster_gap: float = CLUSTER_GAP
+    cert_tail: float = TAIL_TOL
 
     def __post_init__(self):
         if min(self.cluster_gap, self.cert_tail) <= 0:
@@ -199,43 +199,49 @@ def _emit_error(exc: HankelSpectraError, **context):
     print(json.dumps(doc, sort_keys=True), file=sys.stderr)
 
 
+# the job options each subcommand reads; a subcommand rejects the others
+_OPTIONS = {
+    "--truncation": dict(help="truncation size N, or 'auto' (the default) for certified decay"),
+    "--seed": dict(type=int, help="seed of a roundtrip_job.v1 trial stream (default 0)"),
+    "--tol-gap": dict(type=float, dest="cluster_gap",
+                      help=f"relative singular-value cluster gap (default {CLUSTER_GAP:g})"),
+    "--tol-tail": dict(type=float, dest="cert_tail",
+                       help=f"certified truncation tail bound (default {TAIL_TOL:g})"),
+    "--mode": dict(choices=("cyclic", "multiplicity"),
+                   help="trial mode of a job that names none (default cyclic)"),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hankel-spectra",
         description="Synthesize Hankel matrices from spectral data and back.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text, dir_output in (
-        ("synthesize", "spectral data -> hankel.v1 + bundle.v1 + stability.v1", True),
-        ("analyze", "hankel.v1 -> recovered spectral data", False),
-        ("roundtrip", "data or trial job -> max-error report", False),
-        ("convert-clark", "blaschke levels <-> circle measure levels", False),
-        ("stability", "spectral data or bundle.v1 -> stability diagnostics", True),
+    for name, help_text, dir_output, options in (
+        ("synthesize", "spectral data -> hankel.v1 + bundle.v1 + stability.v1", True,
+         ("--truncation", "--tol-tail")),
+        ("analyze", "hankel.v1 -> recovered spectral data", False, ("--tol-gap",)),
+        ("roundtrip", "data or trial job -> max-error report", False,
+         ("--truncation", "--seed", "--tol-gap", "--tol-tail", "--mode")),
+        ("convert-clark", "blaschke levels <-> circle measure levels", False, ()),
+        ("stability", "spectral data or bundle.v1 -> stability diagnostics", True, ()),
     ):
-        p = sub.add_parser(name, help=help_text)
+        # an option left unset stays off the namespace; JobConfig holds the defaults
+        p = sub.add_parser(name, help=help_text, argument_default=argparse.SUPPRESS)
         p.add_argument("--input", required=True, type=Path)
         p.add_argument("--output", required=True, type=Path,
                        help="output directory" if dir_output else "output file")
-        p.add_argument("--truncation", default="auto",
-                       help="truncation size N, or 'auto' for certified decay")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--tol-gap", type=float, default=1e-6)
-        p.add_argument("--tol-tail", type=float, default=1e-12)
-        p.add_argument("--mode", choices=("cyclic", "multiplicity"), default="cyclic")
+        for option in options:
+            p.add_argument(option, **_OPTIONS[option])
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    opts = vars(build_parser().parse_args(argv))
     try:
-        cfg = JobConfig(
-            command=args.command,
-            input=args.input,
-            output=args.output,
-            truncation=args.truncation,
-            tolerances=Tolerances(cluster_gap=args.tol_gap, cert_tail=args.tol_tail),
-            seed=args.seed,
-            mode=args.mode,
-        )
+        tolerances = Tolerances(**{name: opts.pop(name) for name in ("cluster_gap", "cert_tail")
+                                   if name in opts})
+        cfg = JobConfig(tolerances=tolerances, **opts)
     except (SchemaError, ValueError) as exc:
         print(json.dumps({"error": "Schema", "message": str(exc)}), file=sys.stderr)
         return 2

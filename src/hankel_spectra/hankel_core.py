@@ -3,10 +3,11 @@
 The inverse direction generates the symbol ``gamma_k = <q, (Sigma*)^k p>`` by
 iterating the contraction and certifies the truncation through the geometric
 decay of ``(Sigma*)^k p``.  The forward direction finds the leading singular
-subspaces of the truncation Gamma and of Gamma S with a randomized range
-finder that applies both by FFT from the symbol, clusters the singular values
-into levels, and recovers weights and per-level phases (or circle measures)
-from the action of the conjugated operator on the level eigenspaces.
+subspace of the truncation Gamma with a randomized range finder that applies
+Gamma by FFT from the symbol, reads Gamma S off that subspace, classifies the
+merged singular values into lambda and mu levels by multiplicity difference,
+and recovers weights and per-level phases (or circle measures) from the
+action of the conjugated operator on the level eigenspaces.
 """
 
 from __future__ import annotations
@@ -38,10 +39,7 @@ TRUNCATION_CAP = 4096
 CLUSTER_GAP = 1e-6         # relative gap separating singular-value levels
 CLUSTER_JOIN_FRAC = 0.01   # below join_frac * gap two values count as one level
 ZERO_CUT_RTOL = 1e-8       # relative cut below which singular values are kernel
-WEIGHT_RTOL = 1e-10        # relative u-mass that marks a level as weighted
 ANTIDIAG_RTOL = 1e-8
-KRYLOV_DROP_RTOL = 1e-8    # residual (relative to ||u||) below which a Krylov vector is dependent
-KRYLOV_ORTHO_TOL = 1e-8    # loss of orthogonality that triggers the pivoted restart
 RANGE_FINDER_SEED = 17     # fixed sketch seed: reruns give byte-identical outputs
 
 
@@ -152,7 +150,7 @@ class HankelMatrix:
     def singular_values(self) -> np.ndarray:
         """All N singular values, descending: those above ZERO_CUT_RTOL * sigma_1
         as the range finder captures them, then exact zeros."""
-        svals, _, _ = _top_singular_triplets(self, shifted=False)
+        svals, _ = _top_singular_triplets(self)
         return np.concatenate([svals, np.zeros(self.N - len(svals))])
 
 
@@ -210,12 +208,20 @@ def hankel_from_data(d: CompactSpectralData, N: int | str = "auto",
 
 
 def rank_one_identity_residual(h: HankelMatrix) -> float:
-    """|| Gamma*Gamma - (Gamma S)*(Gamma S) - u u* ||_F with u = Gamma* e_0."""
-    G = h.entries
-    GS = h.shifted()
-    u = np.conj(G[0])
-    res = G.conj().T @ G - GS.conj().T @ GS - np.outer(u, u.conj())
-    return float(np.linalg.norm(res))
+    """|| Gamma*Gamma - (Gamma S)*(Gamma S) - u u* ||_F with u = Gamma* e_0,
+    in O(N log N).
+
+    The difference is -conj(t) t^T on its leading (N - 1) x (N - 1) block,
+    with t = (gamma_N, ..., gamma_{2N-2}) the symbols beyond the truncation;
+    its last column is c = Gamma* Gamma e_{N-1} - u conj(u_{N-1}) and its last
+    row is c*.  Gamma e_{N-1} = (gamma_{N-1}, ..., gamma_{2N-2}).
+    """
+    N = h.N
+    u = np.conj(h.gamma[:N])
+    c = h.apply(h.gamma[N - 1:], adjoint=True) - u * h.gamma[N - 1]
+    t_mass = float(np.vdot(h.gamma[N:], h.gamma[N:]).real)
+    c_mass = 2.0 * float(np.vdot(c[:-1], c[:-1]).real) + abs(c[-1]) ** 2
+    return float(np.sqrt(t_mass ** 2 + c_mass))
 
 
 @dataclass(frozen=True)
@@ -264,19 +270,16 @@ def _cluster_levels(svals_desc: np.ndarray, smax: float, gap: float):
     return clusters
 
 
-def _top_singular_triplets(h: HankelMatrix, shifted: bool, smax_ref: float = 0.0):
-    """Singular values of A = Gamma (or Gamma S when ``shifted``) above the
-    zero cut, their right vectors, and A's top singular value.
+def _top_singular_triplets(h: HankelMatrix):
+    """Singular values of Gamma above ZERO_CUT_RTOL * sigma_1, descending, and
+    their right vectors.
 
     A seeded randomized range finder (Halko-Martinsson-Tropp) with two power
-    iterations, driven through :meth:`HankelMatrix.apply`.  The cut is
-    ``ZERO_CUT_RTOL * max(smax, smax_ref)``: an FFT product leaves roundoff of
-    order eps * ||gamma|| where the exact product vanishes, so an operator
-    whose own top value is such roundoff must be cut against a reference
-    scale, and then has no values above the cut.  Certified truncations have
-    a many-decade spectral gap at the rank cut, so the subspace is captured
-    to machine precision; capture is verified (last sketched value below the
-    cut, or a full-width sketch) and the sketch width doubles until it holds.
+    iterations, driven through :meth:`HankelMatrix.apply`.  Certified
+    truncations have a many-decade spectral gap at the rank cut, so the
+    subspace is captured to machine precision; capture is verified (last
+    sketched value below the cut, or a full-width sketch) and the sketch
+    width doubles until it holds.
     """
     N = h.N
     rng = np.random.default_rng(RANGE_FINDER_SEED)
@@ -284,57 +287,17 @@ def _top_singular_triplets(h: HankelMatrix, shifted: bool, smax_ref: float = 0.0
     while True:
         width = min(N, k + 8)
         omega = rng.standard_normal((N, width)) + 1j * rng.standard_normal((N, width))
-        Y, _ = np.linalg.qr(h.apply(omega, shifted))
+        Y, _ = np.linalg.qr(h.apply(omega))
         for _ in range(2):
-            Y, _ = np.linalg.qr(h.apply(Y, shifted, adjoint=True))
-            Y, _ = np.linalg.qr(h.apply(Y, shifted))
-        B = h.apply(Y, shifted, adjoint=True).conj().T      # Y* A
+            Y, _ = np.linalg.qr(h.apply(Y, adjoint=True))
+            Y, _ = np.linalg.qr(h.apply(Y))
+        B = h.apply(Y, adjoint=True).conj().T      # Y* Gamma
         _, svals, vh = np.linalg.svd(B, full_matrices=False)
-        smax = float(svals.max(initial=0.0))
-        cut = ZERO_CUT_RTOL * max(smax, smax_ref)
+        cut = ZERO_CUT_RTOL * svals[0]
         if svals[-1] <= cut or width == N:
             keep = int(np.sum(svals > cut))
-            return svals[:keep], vh[:keep].conj().T, smax
+            return svals[:keep], vh[:keep].conj().T
         k *= 2
-
-
-def _level_decomposition(h: HankelMatrix, shifted: bool, u: np.ndarray, gap: float,
-                         smax_ref: float = 0.0):
-    """Split the singular spectrum of Gamma (or Gamma S) into levels.
-
-    Diagonalizes A*A through the singular value decomposition of A (the
-    direct decomposition keeps small singular values at full absolute
-    accuracy, which the Gram matrix would floor at sqrt(eps) * smax).
-    Returns (levels, kernel_u_mass, smax) where each level is a dict with
-    the singular value, an orthonormal eigenspace basis of A*A, the
-    u-projection weight, and the projection of u when it is nonzero; the
-    kernel u-mass is what remains of ||u||^2 below the rank cut, taken
-    against ``max(smax, smax_ref)``.
-    """
-    svals_desc, vecs, smax = _top_singular_triplets(h, shifted, smax_ref)
-    smax = max(smax, smax_ref)
-    if smax <= 0:
-        raise DegenerateSpectrumError("zero matrix has no spectral levels")
-    n_above = len(svals_desc)
-    u_mass = float(np.vdot(u, u).real)
-    levels = []
-    mass_above = 0.0
-    if n_above:
-        for cluster in _cluster_levels(svals_desc, smax, gap):
-            basis = vecs[:, cluster]
-            coords = basis.conj().T @ u
-            w = float(np.linalg.norm(coords) ** 2)
-            mass_above += w
-            value = float(np.mean(svals_desc[cluster]))
-            spread = float(svals_desc[cluster[0]] - svals_desc[cluster[-1]])
-            weighted = w > WEIGHT_RTOL * max(u_mass, 1e-300)
-            uk = basis @ coords if weighted else None
-            levels.append({
-                "value": value, "basis": basis, "weight": w, "spread": spread,
-                "weighted": weighted, "u_proj": uk,
-            })
-    kernel_u = max(u_mass - mass_above, 0.0)
-    return levels, kernel_u, smax
 
 
 def _orthogonal_complement_in_level(basis: np.ndarray, u_proj: np.ndarray) -> np.ndarray:
@@ -367,64 +330,6 @@ def _unitary_spectral_measure(U: np.ndarray, residuals: dict) -> AtomicMeasure:
     return AtomicMeasure(points=atoms, weights=weights, circle=True, probability=True)
 
 
-def krylov_real_basis(apply_op, u: np.ndarray, max_dim: int):
-    """Orthonormalize the Krylov vectors of (|Gamma|, u) with real coefficients.
-
-    In exact arithmetic the Gram matrix of {|Gamma|^m u} is real, so modified
-    Gram-Schmidt with real projection coefficients produces a basis in which
-    the canonical conjugation acts as entrywise conjugation.  If orthogonality
-    degrades past KRYLOV_ORTHO_TOL the build restarts with column pivoting.
-
-    Returns (basis matrix, orthogonality residual, max imaginary leak).
-    """
-    vectors = [np.asarray(u, dtype=complex)]
-    for _ in range(max_dim - 1):
-        vectors.append(apply_op(vectors[-1]))
-    norm_u = float(np.linalg.norm(u))
-
-    def mgs(order):
-        basis = []
-        imag_leak = 0.0
-        for i in order:
-            v = vectors[i].copy()
-            for b in basis:
-                c = np.vdot(b, v)
-                imag_leak = max(imag_leak, abs(c.imag) / max(norm_u, 1e-300))
-                v -= c.real * b
-            nrm = float(np.linalg.norm(v))
-            if nrm > KRYLOV_DROP_RTOL * norm_u:
-                basis.append(v / nrm)
-        return basis, imag_leak
-
-    basis, imag_leak = mgs(range(len(vectors)))
-    B = np.column_stack(basis) if basis else np.zeros((len(u), 0), dtype=complex)
-    ortho = float(np.linalg.norm(B.conj().T @ B - np.eye(B.shape[1])))
-    if ortho > KRYLOV_ORTHO_TOL:
-        # pivoted restart: greedily take the vector with the largest residual
-        remaining = list(range(len(vectors)))
-        basis = []
-        imag_leak = 0.0
-        while remaining:
-            residual_norms = []
-            residual_vecs = []
-            for i in remaining:
-                v = vectors[i].copy()
-                for b in basis:
-                    c = np.vdot(b, v)
-                    imag_leak = max(imag_leak, abs(c.imag) / max(norm_u, 1e-300))
-                    v -= c.real * b
-                residual_vecs.append(v)
-                residual_norms.append(float(np.linalg.norm(v)))
-            j = int(np.argmax(residual_norms))
-            if residual_norms[j] <= KRYLOV_DROP_RTOL * norm_u:
-                break
-            basis.append(residual_vecs[j] / residual_norms[j])
-            remaining.pop(j)
-        B = np.column_stack(basis) if basis else np.zeros((len(u), 0), dtype=complex)
-        ortho = float(np.linalg.norm(B.conj().T @ B - np.eye(B.shape[1])))
-    return B, ortho, imag_leak
-
-
 def _as_measure(v) -> AtomicMeasure:
     """A level's phase data as a circle measure: a unimodular scalar becomes
     its point mass, a measure is returned as it is."""
@@ -450,7 +355,6 @@ class ForwardData:
     eta: tuple
     mode: str
     residuals: dict = field(default_factory=dict)
-    flags: tuple = ()
 
     def to_spectral_data(self) -> CompactSpectralData:
         spectrum = validate_intertwining(self.lam, self.mu)
@@ -465,50 +369,78 @@ class ForwardData:
 def forward_extract(h: HankelMatrix, cluster_gap: float = CLUSTER_GAP) -> ForwardData:
     """Recover spectral data from a truncated Hankel matrix.
 
-    Levels of |Gamma| carrying u-mass are the lambda levels (weights w_k);
-    levels of |Gamma S| carrying u-mass are the mu levels.  Phases come from
-    the polar factor: on a level eigenspace the map x -> conj(Gamma x)/s acts
-    as the phase times the conjugation, and the conjugation is known there --
-    it fixes the normalized u-projection and acts by s^{-1} conj(Gamma S .)
-    on the rest of a lambda eigenspace (where the second polar factor is the
-    identity), symmetrically for mu levels.
+    The rank-one identity |Gamma|^2 - |Gamma S|^2 = u u*, u = Gamma* e_0,
+    puts ran (Gamma S)* inside ran Gamma*, so one range finder for Gamma
+    serves both operators: a thin SVD of (Gamma S) V on Gamma's right
+    singular vectors V gives every singular triplet of Gamma S above the
+    zero cut (Rayleigh-Ritz).  The merged singular values are clustered
+    once; at each level dim ker(|Gamma| - s) - dim ker(|Gamma S| - s) is +1
+    at a lambda level and -1 at a mu level, and the weight is the u-mass on
+    that operator's eigenspace.  n lambda levels against n - 1 mu levels
+    mean a terminal mu_n = 0, whose weight is the u-mass on ker Gamma S.
+    A truncation whose tail breaks the identity past the top level's join
+    threshold is refused.
+    Phases come from the polar factor: on a level eigenspace the map
+    x -> conj(Gamma x)/s acts as the phase times the conjugation, and the
+    conjugation is known there -- it fixes the normalized u-projection and
+    acts by s^{-1} conj(Gamma S .) on the rest of a lambda eigenspace (where
+    the second polar factor is the identity), symmetrically for mu levels.
     """
     u = np.conj(h.gamma[: h.N])     # Gamma* e_0
-    residuals: dict = {}
-    flags: list[str] = []
-
-    levels, _, smax = _level_decomposition(h, False, u, cluster_gap)                  # Gamma
-    levels1, kernel_u, _ = _level_decomposition(h, True, u, cluster_gap, smax_ref=smax)  # Gamma S
-
-    lam_levels = [lv for lv in levels if lv["weighted"]]
-    mu_levels = [lv for lv in levels1 if lv["weighted"]]
-    n = len(lam_levels)
-    if n == 0:
-        raise DegenerateSpectrumError("no weighted singular-value level found")
     u_mass = float(np.vdot(u, u).real)
+    if u_mass == 0.0:
+        raise DegenerateSpectrumError("u = Gamma* e_0 vanishes, so no level carries u-mass")
+    residuals: dict = {}
 
-    if len(mu_levels) == n - 1:
-        if kernel_u <= WEIGHT_RTOL * u_mass:
+    svals, V = _top_singular_triplets(h)     # u != 0, so Gamma has a value above the cut
+    smax = float(svals[0])
+    _, svals1, wh = np.linalg.svd(h.apply(V, shifted=True), full_matrices=False)
+    nonzero = svals1 > ZERO_CUT_RTOL * smax
+    svals1, V1 = svals1[nonzero], V @ wh[nonzero].conj().T
+    kernel_u = abs(u_mass - float(np.linalg.norm(V1.conj().T @ u) ** 2))  # u-mass on ker Gamma S
+
+    values = np.concatenate([svals, svals1])
+    order = np.argsort(-values, kind="stable")
+    lam_levels, mu_levels = [], []
+    spread = 0.0
+    d = len(svals)
+    for cluster in _cluster_levels(values[order], smax, cluster_gap):
+        idx = order[cluster]
+        own, shift = np.sort(idx[idx < d]), np.sort(idx[idx >= d]) - d
+        diff = len(own) - len(shift)
+        if diff == 1:
+            level_values, basis, levels = svals[own], V[:, own], lam_levels
+        elif diff == -1:
+            level_values, basis, levels = svals1[shift], V1[:, shift], mu_levels
+        else:
             raise ClusterAmbiguityError(
-                "mu-level count says terminal zero but the kernel carries no u-mass")
-        terminal_zero = True
-    elif len(mu_levels) == n:
-        if kernel_u > np.sqrt(WEIGHT_RTOL) * u_mass:
-            raise ClusterAmbiguityError(
-                "kernel carries u-mass but all mu levels are positive")
-        terminal_zero = False
-    else:
+                f"singular value {values[idx[0]]:.6e} has multiplicity difference {diff} "
+                "between |Gamma| and |Gamma S|; the rank-one identity allows +1 or -1")
+        coords = basis.conj().T @ u
+        levels.append({"value": float(np.mean(level_values)), "basis": basis,
+                       "weight": float(np.linalg.norm(coords) ** 2), "u_proj": basis @ coords})
+        spread = max(spread, float(values[idx[0]] - values[idx[-1]]))
+
+    n = len(lam_levels)
+    if len(mu_levels) not in (n - 1, n):
         raise ClusterAmbiguityError(
             f"{len(mu_levels)} mu levels cannot interlace {n} lambda levels")
-
+    # the levels rest on the rank-one identity, which a truncation keeps only
+    # up to its tail; its defect must stay below the top level's join threshold
+    identity = rank_one_identity_residual(h) / smax ** 2
+    if identity > CLUSTER_JOIN_FRAC * cluster_gap:
+        raise TruncationTooSmallError(
+            f"rank-one identity residual {identity:.3e} * sigma_1^2 exceeds "
+            f"{CLUSTER_JOIN_FRAC * cluster_gap:.1e} * sigma_1^2: the symbol's tail is too large")
+    residuals["rank_one_identity"] = identity
+    terminal_zero = len(mu_levels) == n - 1
     lam = np.array([lv["value"] for lv in lam_levels])
-    mu_pos = np.array([lv["value"] for lv in mu_levels])
-    mu = np.concatenate([mu_pos, [0.0]]) if terminal_zero else mu_pos
+    mu = np.array([lv["value"] for lv in mu_levels] + [0.0] * terminal_zero)
     validate_intertwining(lam, mu)  # raises if the recovered levels are inconsistent
     w = np.array([lv["weight"] for lv in lam_levels])
-    w1 = np.array([lv["weight"] for lv in mu_levels] + ([kernel_u] if terminal_zero else []))
-    residuals["cluster_spread"] = max(
-        [lv["spread"] for lv in levels + levels1] or [0.0]) / smax
+    w1 = np.array([lv["weight"] for lv in mu_levels] + [kernel_u] * terminal_zero)
+    residuals["cluster_spread"] = spread / smax
+    residuals["kernel_u_mass"] = kernel_u / u_mass
 
     def phase_of(level, shifted):
         """Scalar phase or circle measure of the polar factor of Gamma
@@ -530,23 +462,7 @@ def forward_extract(h: HankelMatrix, cluster_gap: float = CLUSTER_GAP) -> Forwar
 
     xi = tuple(phase_of(lv, False) for lv in lam_levels)
     eta = tuple(phase_of(lv, True) for lv in mu_levels) + ((None,) if terminal_zero else ())
-
-    # Krylov-real diagnostic: u must be numerically cyclic on the weighted
-    # levels, i.e. the real-orthogonalized span of {|Gamma|^m u} has one
-    # dimension per lambda level.  |Gamma| is applied through the captured
-    # level decomposition (u has no mass below the rank cut).
-    def apply_abs(x):
-        out = np.zeros_like(x)
-        for lv in levels:
-            out += lv["value"] * (lv["basis"] @ (lv["basis"].conj().T @ x))
-        return out
-
-    B, ortho, imag_leak = krylov_real_basis(apply_abs, u, max_dim=n + 2)
-    residuals["krylov_orthogonality"] = ortho
-    residuals["krylov_imag_leak"] = imag_leak
-    if B.shape[1] != n:
-        flags.append("RankDeficientH0")
     mode = "cyclic" if all(not isinstance(v, AtomicMeasure) for v in xi) and all(
         e is None or not isinstance(e, AtomicMeasure) for e in eta) else "multiplicity"
     return ForwardData(lam=lam, mu=mu, w=w, w1=w1, xi=xi, eta=eta, mode=mode,
-                       residuals=residuals, flags=tuple(flags))
+                       residuals=residuals)

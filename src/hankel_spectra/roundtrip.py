@@ -10,7 +10,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from .hankel_core import ForwardData, _as_measure, forward_extract, hankel_from_bundle
+from .hankel_core import (
+    CLUSTER_GAP,
+    TAIL_TOL,
+    ForwardData,
+    _as_measure,
+    forward_extract,
+    hankel_from_bundle,
+)
 from .operator_assembly import assemble, level_projections
 from .spectral_data import AtomicMeasure, CompactSpectralData
 
@@ -81,7 +88,7 @@ def roundtrip_errors(d: CompactSpectralData, recovered: ForwardData,
 
 
 def run_roundtrip_trial(d: CompactSpectralData, truncation: int | str = "auto",
-                        tail_tol: float = 1e-12, cluster_gap: float = 1e-6) -> dict:
+                        tail_tol: float = TAIL_TOL, cluster_gap: float = CLUSTER_GAP) -> dict:
     """Synthesize, extract, and report the error metrics for one instance."""
     bundle = assemble(d)
     h = hankel_from_bundle(bundle, N=truncation, tail_tol=tail_tol)

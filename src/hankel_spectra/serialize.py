@@ -293,7 +293,6 @@ def emit_forward_data(fd: ForwardData) -> dict:
         "xi": [_emit_level_phase(v) for v in fd.xi],
         "eta": [None if v is None else _emit_level_phase(v) for v in fd.eta],
         "residuals": {k: float(v) for k, v in sorted(fd.residuals.items())},
-        "flags": list(fd.flags),
     }
 
 

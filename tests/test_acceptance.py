@@ -202,3 +202,30 @@ def test_criterion_9_gauge_invariance():
             worst = max(worst, drift)
     assert worst <= 1e-10
     _report(9, f"20 instances x 5 admissible rotations: symbol drift {worst:.1e} <= 1e-10")
+
+
+def test_criterion_10_rank_envelope():
+    # the supported envelope: every round trip inside it succeeds within the
+    # criterion 2 tolerances, so a refusal here fails the test; seeds fixed
+    # in advance, contraction guard 0.99 from rank 14 on
+    worst = {"lam": 0.0, "mu": 0.0, "weights": 0.0, "phases": 0.0}
+    cases = 0
+    for mode, n_max, seeds in (("cyclic", 16, range(2000, 2004)),
+                               ("multiplicity", 12, range(2000, 2002))):
+        for n in range(1, n_max + 1):
+            guard = 0.99 if n >= 14 else MAX_CONTRACTION
+            for seed in seeds:
+                rng = np.random.default_rng(seed)
+                d = (random_cyclic_data(rng, n, max_contraction=guard) if mode == "cyclic"
+                     else random_multiplicity_data(rng, n, max_atoms=3, max_contraction=guard))
+                errs = run_roundtrip_trial(d)
+                for key in worst:
+                    worst[key] = max(worst[key], errs[key])
+                cases += 1
+    assert worst["lam"] <= 1e-8 and worst["mu"] <= 1e-8
+    assert worst["weights"] <= 1e-6
+    assert worst["phases"] <= 1e-6
+    _report(10, f"{cases} round trips, cyclic n <= 16 and multiplicity n <= 12: "
+                f"lam/mu {max(worst['lam'], worst['mu']):.1e} <= 1e-8, "
+                f"weights {worst['weights']:.1e} <= 1e-6, "
+                f"phases {worst['phases']:.1e} <= 1e-6")

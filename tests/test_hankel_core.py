@@ -4,10 +4,10 @@ import pytest
 import hankel_spectra as hs
 from hankel_spectra.errors import (
     ClusterAmbiguityError,
+    DegenerateSpectrumError,
     NotHankelError,
     TruncationTooSmallError,
 )
-from hankel_spectra.hankel_core import krylov_real_basis
 from hankel_spectra.random_data import (
     random_admissible_commutant,
     random_cyclic_data,
@@ -152,10 +152,12 @@ class TestMatrixFreeOperator:
                 err = float(np.abs(got - A @ x).max())
                 assert err <= 1e-12 * scale * float(np.abs(x).max()), (shifted, adjoint)
 
-    @pytest.mark.parametrize("N", [8, 385, 1024])
+    @pytest.mark.parametrize("N", [8, 64, 385, 1024])
     def test_singular_values_match_dense_svd(self, N):
+        # a random symbol has full rank: at N = 64 more values than the
+        # first 32-column sketch holds, so the range finder must widen it
         rng = np.random.default_rng(N)
-        gamma = (rng.standard_normal(2 * N - 1) if N == 8
+        gamma = (rng.standard_normal(2 * N - 1) if N <= 64
                  else _rational_symbol(rng, N))
         h = hs.HankelMatrix.from_gamma(gamma, N)
         sv = h.singular_values()
@@ -163,7 +165,7 @@ class TestMatrixFreeOperator:
         assert sv.shape == (N,)
         assert np.all(np.diff(sv) <= 0)
         keep = int(np.count_nonzero(sv))
-        assert keep == (N if N == 8 else 5)
+        assert keep == (N if N <= 64 else 5)
         assert np.abs(sv[:keep] - ref[:keep]).max() <= 1e-12 * ref[0]
         assert np.all(ref[keep:] <= hs.hankel_core.ZERO_CUT_RTOL * ref[0])
 
@@ -194,6 +196,17 @@ class TestRankOneIdentity:
         for b in bundle_corpus:
             h = hs.hankel_from_bundle(b)
             assert hs.rank_one_identity_residual(h) <= 1e-8
+
+    @pytest.mark.parametrize("N", [1, 2, 8, 40])
+    def test_matches_dense_formula(self, N):
+        rng = np.random.default_rng(100 + N)
+        h = hs.HankelMatrix.from_gamma(
+            rng.standard_normal(2 * N - 1) + 1j * rng.standard_normal(2 * N - 1), N)
+        G, GS = h.entries, h.shifted()
+        u = np.conj(G[0])
+        dense = float(np.linalg.norm(
+            G.conj().T @ G - GS.conj().T @ GS - np.outer(u, u.conj())))
+        assert hs.rank_one_identity_residual(h) == pytest.approx(dense, rel=1e-12, abs=1e-13)
 
     def test_negative_control(self, rank2_data):
         # the identity holds up to products of tail symbols gamma_{k >= N};
@@ -251,11 +264,41 @@ class TestForwardExtract:
         assert errs["weights"] <= 1e-6
         assert errs["phases"] <= 1e-6
 
+    def test_one_sketch(self, monkeypatch, rank2_data):
+        # Gamma S is read off Gamma's captured subspace; the range finder
+        # runs once per extraction
+        calls = []
+        sketch = hs.hankel_core._top_singular_triplets
+
+        def spy(h, *args, **kwargs):
+            calls.append(h.N)
+            return sketch(h, *args, **kwargs)
+
+        monkeypatch.setattr(hs.hankel_core, "_top_singular_triplets", spy)
+        h = hs.hankel_from_data(rank2_data)
+        fd = hs.forward_extract(h)
+        assert calls == [h.N]
+        np.testing.assert_allclose(fd.mu, [np.sqrt(2.0), 0.0], atol=1e-8)
+
     def test_cluster_ambiguity(self):
         # singular values 1 and 1 - 5e-7 fall inside the ambiguity band
         h = hs.HankelMatrix.from_gamma([1.0, 0.0, 1.0 - 5e-7], 2)
         with pytest.raises(ClusterAmbiguityError):
             hs.forward_extract(h)
+
+    def test_levels_outside_the_rank_one_rule_are_refused(self):
+        # uncertified truncations: here the value 1 has multiplicity 2 in
+        # |Gamma| and 0 in |Gamma S|, a difference the identity rules out
+        h = hs.HankelMatrix.from_gamma([1.0, 0.0, 0.0, 0.0, 1.0], 3)
+        with pytest.raises(ClusterAmbiguityError, match="multiplicity difference 2"):
+            hs.forward_extract(h)
+        # and here u = Gamma* e_0 = 0, so no level carries u-mass
+        with pytest.raises(DegenerateSpectrumError):
+            hs.forward_extract(hs.HankelMatrix.from_gamma([0.0, 0.0, 1.0], 2))
+        # here the levels pass the rule, but the tail gamma_4 = 1 breaks the
+        # identity they rest on (residual sqrt(2)), so no data is returned
+        with pytest.raises(TruncationTooSmallError):
+            hs.forward_extract(hs.HankelMatrix.from_gamma([1, 0, 0, 0, 1, 0, 0], 4))
 
     def test_multiplicity_measures(self):
         rng = np.random.default_rng(10)
@@ -312,15 +355,3 @@ class TestGaugeInvariance:
                 psi @ b.Jp, b.layout)
             g2 = hs.gamma_sequence(rotated, 50)
             assert np.abs(g - g2).max() <= 1e-10
-
-
-class TestKrylovRealBasis:
-    def test_reality_and_rank(self, rank2_data):
-        b = hs.assemble_cyclic(rank2_data)
-        apply_op = lambda x: b.R @ x
-        B, ortho, leak = krylov_real_basis(apply_op, b.p.astype(complex), max_dim=4)
-        assert B.shape[1] == 2
-        assert ortho <= 1e-12
-        assert leak <= 1e-12
-        # basis vectors are real combinations of real Krylov vectors here
-        assert np.abs(B.imag).max() <= 1e-14

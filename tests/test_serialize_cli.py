@@ -6,7 +6,7 @@ import pytest
 
 import hankel_spectra as hs
 from hankel_spectra import serialize
-from hankel_spectra.cli import main
+from hankel_spectra.cli import build_parser, main
 from hankel_spectra.errors import SchemaError
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -257,3 +257,25 @@ class TestCli:
         assert all(entries[3][k] == "inf" for k in ("lam", "mu", "weights", "phases"))
         assert entries[3]["N"] is None
         assert all("error" not in e and e["lam"] < 1e-8 for e in entries if e["trial"] != 3)
+
+
+@pytest.mark.parametrize("command, reads", [
+    ("synthesize", {"--truncation", "--tol-tail"}),
+    ("analyze", {"--tol-gap"}),
+    ("roundtrip", {"--truncation", "--seed", "--tol-gap", "--tol-tail", "--mode"}),
+    ("convert-clark", set()),
+    ("stability", set()),
+])
+def test_subcommand_takes_only_the_options_it_reads(command, reads, tmp_path):
+    argv = [command, "--input", str(tmp_path / "in.json"), "--output", str(tmp_path / "out")]
+    values = {"--truncation": "4", "--seed": "1", "--tol-gap": "1e-5",
+              "--tol-tail": "1e-11", "--mode": "multiplicity"}
+    for option, value in values.items():
+        if option in reads:
+            args = build_parser().parse_args(argv + [option, value])
+            assert len(vars(args)) == 4  # command, input, output and this option
+        else:
+            with pytest.raises(SystemExit) as exc:
+                main(argv + [option, value])
+            assert exc.value.code == 2
+    assert main(argv) == 4  # accepted, then fails on the missing input
