@@ -85,15 +85,14 @@ def _cmd_analyze(cfg: JobConfig) -> int:
 
 
 def _trial_data(job: dict, seed_seq: np.random.SeedSequence, default_mode: str):
+    job = serialize.parse_roundtrip_job(job, default_mode)
     rng = np.random.default_rng(seed_seq)
-    mode = job.get("mode", default_mode)
-    n = int(rng.integers(1, job.get("n_max", 8) + 1))
-    guard = job.get("max_contraction", 0.97)
-    if mode == "multiplicity":
-        return random_multiplicity_data(rng, min(n, job.get("levels_max", 3)),
-                                        max_atoms=job.get("max_atoms", 3),
-                                        max_contraction=guard)
-    return random_cyclic_data(rng, n, max_contraction=guard)
+    n = int(rng.integers(1, job["n_max"] + 1))
+    if job["mode"] == "multiplicity":
+        return random_multiplicity_data(rng, min(n, job["levels_max"]),
+                                        max_atoms=job["max_atoms"],
+                                        max_contraction=job["max_contraction"])
+    return random_cyclic_data(rng, n, max_contraction=job["max_contraction"])
 
 
 def _cmd_roundtrip(cfg: JobConfig) -> int:
@@ -101,7 +100,8 @@ def _cmd_roundtrip(cfg: JobConfig) -> int:
     tols = cfg.tolerances
     keys = ("lam", "mu", "weights", "phases")
     if doc.get("schema") == "roundtrip_job.v1":
-        trials = int(doc.get("trials", 10))
+        # checked before the first trial: a trial's refusal is reported, a bad job exits 2
+        trials = serialize.parse_roundtrip_job(doc, cfg.mode)["trials"]
         results = []
         for i, seed_seq in enumerate(np.random.SeedSequence(cfg.seed).spawn(trials)):
             try:

@@ -1,20 +1,20 @@
 """Hankel symbols from operator bundles, truncated matrices, and the forward problem.
 
-The inverse direction generates the symbol ``gamma_k = <q, (Sigma*)^k p>`` by
-iterating the contraction and certifies the truncation through the geometric
-decay of ``(Sigma*)^k p``.  The forward direction finds the leading singular
-subspace of the truncation Gamma with a randomized range finder that applies
-Gamma by FFT from the symbol, reads Gamma S off that subspace, classifies the
-merged singular values into lambda and mu levels by multiplicity difference,
-and recovers weights and per-level phases (or circle measures) from the
-action of the conjugated operator on the level eigenspaces.
+The inverse direction walks one blocked orbit of the contraction Sigma*: the
+geometric decay of ``(Sigma*)^k p`` certifies the truncation, and the same
+columns give the symbol ``gamma_k = <q, (Sigma*)^k p>``.  The forward
+direction finds the leading singular subspace of the truncation Gamma with a
+randomized range finder that applies Gamma by FFT from the symbol, reads
+Gamma S off that subspace, classifies the merged singular values into lambda
+and mu levels by multiplicity difference, and recovers weights and per-level
+phases (or circle measures) from the action of the conjugated operator on the
+level eigenspaces.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import islice
 
 import numpy as np
 import scipy.linalg
@@ -26,7 +26,7 @@ from .errors import (
     NotHankelError,
     TruncationTooSmallError,
 )
-from .operator_assembly import OperatorBundle, assemble, orbit
+from .operator_assembly import ORBIT_BLOCK, OperatorBundle, assemble, orbit
 from .spectral_data import (
     AtomicMeasure,
     CompactSpectralData,
@@ -155,17 +155,15 @@ class HankelMatrix:
 
 
 def gamma_sequence(b: OperatorBundle, K: int) -> np.ndarray:
-    """Symbol coefficients gamma_0..gamma_K via iterated application of Sigma*.
+    """Symbol coefficients gamma_0..gamma_K, read off the bundle's orbit of Sigma*.
 
     Cross-checked against the conjugated form <(Sigma-hat*)^k p, q-hat>, which
     must agree to GAMMA_CROSS_CHECK_TOL on any valid bundle.
     """
     if K < 0:
         raise ValueError("K must be nonnegative")
-    gamma = np.fromiter((np.vdot(x, b.q)                  # <q, (Sigma*)^k p>
-                         for x in islice(orbit(b.sigma_star, b.p), K + 1)), complex, K + 1)
-    other = np.fromiter((np.vdot(b.qhat, y)               # <(Sigma-hat*)^k p, q-hat>
-                         for y in islice(orbit(b.sigma_hat_star, b.p), K + 1)), complex, K + 1)
+    gamma = b.sigma_orbit(K + 1).conj().T @ b.q                   # <q, (Sigma*)^k p>
+    other = b.qhat.conj() @ orbit(b.sigma_hat_star, b.p, K + 1)  # <(Sigma-hat*)^k p, q-hat>
     drift = float(np.abs(gamma - other).max())
     if drift > GAMMA_CROSS_CHECK_TOL * max(1.0, float(np.abs(gamma).max())):
         raise InternalConsistencyError(
@@ -175,17 +173,26 @@ def gamma_sequence(b: OperatorBundle, K: int) -> np.ndarray:
 
 def certified_truncation(b: OperatorBundle, tail_tol: float = TAIL_TOL) -> int:
     """Smallest N >= dim + 2 with ||(Sigma*)^N p|| <= tail_tol (geometric
-    decay), at most TRUNCATION_CAP."""
+    decay), at most TRUNCATION_CAP.  The tails are read off the bundle's
+    orbit, which doubles until one qualifies."""
     floor = b.dim + 2
-    for k, x in enumerate(islice(orbit(b.sigma_star, b.p), TRUNCATION_CAP + 1)):
-        if k >= floor and float(np.linalg.norm(x)) <= tail_tol:
-            return k
-    raise TruncationTooSmallError(
-        f"tail bound {tail_tol:.1e} not reached within {TRUNCATION_CAP} steps")
+    count = 2 * ORBIT_BLOCK
+    while True:
+        stop = min(count, TRUNCATION_CAP + 1)
+        tails = np.linalg.norm(b.sigma_orbit(stop)[:, floor:], axis=0)
+        hits = np.flatnonzero(tails <= tail_tol)
+        if hits.size:
+            return floor + int(hits[0])
+        if stop > TRUNCATION_CAP:
+            raise TruncationTooSmallError(
+                f"tail bound {tail_tol:.1e} not reached within {TRUNCATION_CAP} steps")
+        count *= 2
 
 
 def hankel_from_bundle(b: OperatorBundle, N: int | str = "auto",
                        tail_tol: float = TAIL_TOL, certified: bool = True) -> HankelMatrix:
+    """The N x N truncation of the bundle's symbol.  The certified N, the tail
+    check at an explicit N and the symbol all read one orbit of Sigma*."""
     if N == "auto":
         N = certified_truncation(b, tail_tol)
     else:
@@ -193,7 +200,7 @@ def hankel_from_bundle(b: OperatorBundle, N: int | str = "auto",
         if N < 1:
             raise TruncationTooSmallError("N must be at least 1")
         if certified:
-            tail = float(np.linalg.norm(next(islice(orbit(b.sigma_star, b.p), N, None))))
+            tail = float(np.linalg.norm(b.sigma_orbit(N + 1)[:, N]))
             if tail > tail_tol:
                 raise TruncationTooSmallError(
                     f"||(Sigma*)^{N} p|| = {tail:.3e} exceeds {tail_tol:.1e}")

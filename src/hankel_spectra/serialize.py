@@ -168,6 +168,32 @@ def parse_hankel(doc: dict) -> HankelMatrix:
     return HankelMatrix.from_gamma(gamma, n)
 
 
+# roundtrip_job.v1
+
+_JOB_COUNTS = {"trials": 10, "n_max": 8, "levels_max": 3, "max_atoms": 3}
+
+
+def parse_roundtrip_job(doc: dict, default_mode: str) -> dict:
+    """The fields of a roundtrip_job.v1 document, checked, with their defaults
+    filled in; a job that names no mode takes ``default_mode``."""
+    _check_schema(doc, "roundtrip_job.v1")
+    job = {}
+    for key, default in _JOB_COUNTS.items():
+        value = doc.get(key, default)
+        if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+            raise SchemaError(f"roundtrip_job.v1: {key} must be a positive integer, got {value!r}")
+        job[key] = value
+    job["mode"] = doc.get("mode", default_mode)
+    if job["mode"] not in ("cyclic", "multiplicity"):
+        raise SchemaError(f"roundtrip_job.v1: mode must be 'cyclic' or 'multiplicity', "
+                          f"got {job['mode']!r}")
+    guard = doc.get("max_contraction", 0.97)
+    if isinstance(guard, bool) or not isinstance(guard, (int, float)) or not 0 < guard <= 1:
+        raise SchemaError(f"roundtrip_job.v1: max_contraction must lie in (0, 1], got {guard!r}")
+    job["max_contraction"] = guard
+    return job
+
+
 # bundle.v1 (debugging / golden tests; not a stable API)
 
 def emit_layout(layout: BlockLayout) -> dict:

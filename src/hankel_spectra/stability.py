@@ -11,7 +11,6 @@ reducing part of A.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import islice
 
 import numpy as np
 
@@ -47,9 +46,7 @@ class StabilityReport:
 
 def _krylov_rank(op: np.ndarray, vec: np.ndarray, span: int) -> int:
     """Numerical rank of span{op^m vec : |m| <= span} (op unitary on its range)."""
-    forward = islice(orbit(op, vec), 1, span + 1)
-    backward = islice(orbit(op.conj().T, vec), 1, span + 1)
-    mat = np.column_stack([vec] + [v for pair in zip(forward, backward) for v in pair])
+    mat = np.hstack([orbit(op, vec, span + 1), orbit(op.conj().T, vec, span + 1)[:, 1:]])
     svals = np.linalg.svd(mat, compute_uv=False)
     if svals.size == 0 or svals[0] == 0:
         return 0
@@ -83,8 +80,7 @@ def stability_report(b: OperatorBundle, K: int = 200) -> StabilityReport:
     """Spectral radius of Sigma*, decay of ||(Sigma*)^k p||, and the
     intertwining residual ||Sigma* R^{1/2} - R^{1/2} A||."""
     radius = float(np.abs(np.linalg.eigvals(b.sigma_star)).max())
-    profile = np.fromiter((np.linalg.norm(x) for x in islice(orbit(b.sigma_star, b.p), K + 1)),
-                          float, K + 1)
+    profile = np.linalg.norm(b.sigma_orbit(K + 1), axis=0)
     r_half, _, _ = _psd_sqrt(b.R, b.r_norm**2)
     residual = float(np.linalg.norm(b.sigma_star @ r_half - r_half @ b.A))
     norm_a = float(np.linalg.norm(b.A, 2))

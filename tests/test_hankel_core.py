@@ -96,6 +96,55 @@ class TestHankelFromData:
             hs.hankel_from_data(d)
 
 
+class TestOneOrbitWalk:
+    """Synthesis walks the orbit of Sigma* once: the certified N, the tail at
+    an explicit N and the symbol all read the bundle's one array."""
+
+    @pytest.fixture
+    def data(self):
+        # certifies well past the orbit's first 64 columns, so the walk grows
+        d = random_cyclic_data(np.random.default_rng(3), 6, max_contraction=0.97)
+        assert hs.certified_truncation(hs.assemble(d)) > 64
+        return d
+
+    @pytest.mark.parametrize("explicit", [False, True])
+    def test_sigma_star_walked_once(self, monkeypatch, data, explicit):
+        from hankel_spectra import hankel_core, operator_assembly
+
+        calls = []
+        real = operator_assembly.orbit
+
+        def spy(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(operator_assembly, "orbit", spy)
+        monkeypatch.setattr(hankel_core, "orbit", spy)
+        b = hs.assemble(data)
+        N = hs.certified_truncation(b) if explicit else "auto"
+        calls.clear()
+        h = hs.hankel_from_data(data, N=N)
+        starts = [c for c in calls if np.array_equal(c[0], b.sigma_star)
+                  and np.array_equal(c[1], b.p)]
+        assert len(starts) == 1
+        # the cross-check walks Sigma-hat* once, over every emitted gamma
+        hats = [c for c in calls if np.array_equal(c[0], b.sigma_hat_star)]
+        assert len(hats) == 1 and hats[0][2] == 2 * h.N - 1
+
+    def test_explicit_truncation_boundary(self, bundle_corpus, data):
+        # c - 1 fails the tail bound only when it is still above the dim + 2 floor
+        bundles = [b for b in bundle_corpus + [hs.assemble(data)]
+                   if hs.certified_truncation(b) > b.dim + 2]
+        assert len(bundles) >= 3
+        for b in bundles:
+            c = hs.certified_truncation(b)
+            with pytest.raises(TruncationTooSmallError):
+                hs.hankel_from_bundle(b, N=c - 1, certified=True)
+            h = hs.hankel_from_bundle(b, N=c, certified=True)
+            assert h.N == c
+            np.testing.assert_array_equal(h.gamma, hs.hankel_from_bundle(b).gamma)
+
+
 class TestSymbolCrossCheck:
     def test_inconsistent_tuple_is_caught(self, rank2_data):
         # a conjugation that fails to fix p breaks the identity between the

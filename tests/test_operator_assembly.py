@@ -8,9 +8,11 @@ from hankel_spectra.errors import (
     SupportNotCyclicError,
 )
 from hankel_spectra.operator_assembly import (
+    Orbit,
     _check_cyclic_support,
     assemble_from_operators,
     level_projections,
+    orbit,
 )
 from hankel_spectra.random_data import (
     random_admissible_commutant,
@@ -285,6 +287,14 @@ class TestSigmaStarOrbit:
             np.testing.assert_allclose(hs.gamma_sequence(b, self.K), ref, rtol=1e-12,
                                        atol=1e-12 * np.linalg.norm(b.p) * np.linalg.norm(b.q))
 
+    def test_gamma_sequence_to_certified_truncation(self, bundle_corpus):
+        # K = 2N - 2 at the certified N: the symbol spans many orbit blocks
+        for b in bundle_corpus:
+            K = 2 * hs.certified_truncation(b) - 2
+            ref = [np.vdot(x, b.q) for x in self.powers(b, K)]
+            np.testing.assert_allclose(hs.gamma_sequence(b, K), ref, rtol=1e-12,
+                                       atol=1e-12 * np.linalg.norm(b.p) * np.linalg.norm(b.q))
+
     def test_certified_truncation(self, bundle_corpus):
         from hankel_spectra.hankel_core import TAIL_TOL
 
@@ -295,11 +305,36 @@ class TestSigmaStarOrbit:
             assert hs.certified_truncation(b) == k
 
 
+class TestOrbit:
+    @pytest.mark.parametrize("count", [0, 1, 31, 32, 33, 65, 200])
+    def test_matches_matrix_power(self, count):
+        rng = np.random.default_rng(count)
+        M = rng.standard_normal((7, 7)) + 1j * rng.standard_normal((7, 7))
+        M /= 1.01 * np.linalg.norm(M, 2)  # a contraction, as every walked matrix is
+        v = rng.standard_normal(7) + 1j * rng.standard_normal(7)
+        X = orbit(M, v, count)
+        assert X.shape == (7, count)
+        for k in range(count):
+            ref = np.linalg.matrix_power(M, k) @ v
+            assert np.linalg.norm(X[:, k] - ref) <= 1e-12 * np.linalg.norm(v)
+
+    def test_grown_orbit_ignores_request_order(self):
+        # the bundle's orbit doubles in whole blocks, so its columns are
+        # bitwise those of one orbit() call whatever was asked before
+        b = hs.assemble(random_multiplicity_data(np.random.default_rng(4), 3, max_atoms=3))
+        ref = orbit(b.sigma_star, b.p, 512)
+        stepwise, direct = Orbit(b.sigma_star, b.p), Orbit(b.sigma_star, b.p)
+        for count in (5, 129, 64, 300):
+            np.testing.assert_array_equal(stepwise(count), ref[:, :count])
+        np.testing.assert_array_equal(direct(300), ref[:, :300])
+
+
 class TestLazyFields:
     def test_derived_on_first_read(self, rank2_data):
         rng = np.random.default_rng(7)
         for d in (rank2_data, random_multiplicity_data(rng, 2, max_atoms=3)):
             b = hs.assemble(d)
+            assert "r_norm" in vars(b)  # read by validation, then cached
             assert "A" not in vars(b) and "sigma_hat_star" not in vars(b)
             A = b.A
             assert "A" in vars(b) and "sigma_hat_star" not in vars(b)

@@ -259,6 +259,27 @@ class TestCli:
         assert all("error" not in e and e["lam"] < 1e-8 for e in entries if e["trial"] != 3)
 
 
+@pytest.mark.parametrize("fields", [
+    {"n_max": 0},
+    {"trials": -1},
+    {"trials": "x"},
+    {"trials": True},
+    {"mode": "bogus"},
+    {"levels_max": 0, "mode": "multiplicity"},
+    {"max_atoms": 2.0, "mode": "multiplicity"},
+    {"max_contraction": 0},
+    {"max_contraction": 1.5},
+], ids=lambda fields: "-".join(f"{k}={v}" for k, v in fields.items()))
+def test_roundtrip_job_fields_are_checked(fields, tmp_path, capsys):
+    job = tmp_path / "job.json"
+    job.write_text(json.dumps({"schema": "roundtrip_job.v1", "trials": 2} | fields))
+    out = tmp_path / "report.json"
+    rc = main(["roundtrip", "--input", str(job), "--output", str(out)])
+    assert rc == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "Schema"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command, reads", [
     ("synthesize", {"--truncation", "--tol-tail"}),
     ("analyze", {"--tol-gap"}),
