@@ -41,6 +41,14 @@ CLUSTER_JOIN_FRAC = 0.01   # below join_frac * gap two values count as one level
 ZERO_CUT_RTOL = 1e-8       # relative cut below which singular values are kernel
 ANTIDIAG_RTOL = 1e-8
 RANGE_FINDER_SEED = 17     # fixed sketch seed: reruns give byte-identical outputs
+# Columns of the range finder's first block; each later block is as wide as
+# the basis captured before it.  Neighbours were timed on a 2-core machine
+# (run_roundtrip_trial over 288 trials of 16 roundtrip_batch-style jobs,
+# median rank 6, median N 408; three passes, two runs): 4 took 1.96-2.37 s,
+# 8 1.91-2.35 s, 16 2.70-3.14 s.  4 and 8 lie within the run-to-run spread;
+# 8 captures the common ranks up to 7 in one block, so it stayed.  A
+# full-rank N = 1024 symbol took 3.2-4.2 s at 4, 3.3-3.4 s at 8 and 16.
+SKETCH_BLOCK = 8
 
 
 def _fft_length(n: int) -> int:
@@ -241,16 +249,16 @@ class KernelReport:
 
 
 def kernel_diagnostics(h: HankelMatrix, n: int) -> KernelReport:
-    """Smallest singular value of the truncation (0 below the zero cut); a
-    rank-n symbol truncated at N >= n + 2 always leaves a nontrivial kernel."""
+    """Smallest singular value of the truncation (0 below the zero cut) and
+    the numerical rank, the count of values above ZERO_CUT_RTOL * sigma_1;
+    the kernel is nontrivial exactly when that rank is below N.  A rank-n
+    symbol truncated at N >= n + 2 always leaves a nontrivial kernel."""
     if h.N < n + 2:
         raise TruncationTooSmallError(f"need N >= n + 2 = {n + 2}, got {h.N}")
     svals = h.singular_values()
-    smax = float(svals[0])
     rank = int(np.count_nonzero(svals))
-    sigma_min = float(svals[-1])
-    return KernelReport(sigma_min=sigma_min, numerical_rank=rank, N=h.N, n=n,
-                        nontrivial_kernel=sigma_min <= 1e-8 * max(smax, 1.0))
+    return KernelReport(sigma_min=float(svals[-1]), numerical_rank=rank, N=h.N, n=n,
+                        nontrivial_kernel=rank < h.N)
 
 
 def _cluster_levels(svals_desc: np.ndarray, smax: float, gap: float):
@@ -281,30 +289,45 @@ def _top_singular_triplets(h: HankelMatrix):
     """Singular values of Gamma above ZERO_CUT_RTOL * sigma_1, descending, and
     their right vectors.
 
-    A seeded randomized range finder (Halko-Martinsson-Tropp) with two power
-    iterations, driven through :meth:`HankelMatrix.apply`.  Certified
+    A seeded blocked randomized range finder (Halko-Martinsson-Tropp,
+    section 4.4, in the randQB_b form of Martinsson-Voronin), driven through
+    :meth:`HankelMatrix.apply`.  The first block has SKETCH_BLOCK Gaussian
+    columns; each later block is as wide as the basis Q captured so far, so
+    the widths run 8, 8, 16, 32, ... and follow the rank.  A block takes two
+    power iterations; after every product with Gamma it is projected twice
+    against Q (twice is enough) and orthonormalised, so it cannot converge
+    back onto directions Q already holds.  The rows Y* Gamma of every block
+    are stacked and the SVD of the stack gives the values.  Certified
     truncations have a many-decade spectral gap at the rank cut, so the
     subspace is captured to machine precision; capture is verified (last
-    sketched value below the cut, or a full-width sketch) and the sketch
-    width doubles until it holds.
+    stacked value below the cut, or a full-width basis) before it returns.
     """
     N = h.N
     rng = np.random.default_rng(RANGE_FINDER_SEED)
-    k = 24
-    while True:
-        width = min(N, k + 8)
-        omega = rng.standard_normal((N, width)) + 1j * rng.standard_normal((N, width))
-        Y, _ = np.linalg.qr(h.apply(omega))
+
+    def range_step(X):
+        """Gamma X projected twice against the current Q, orthonormalised."""
+        Y = h.apply(X)
         for _ in range(2):
-            Y, _ = np.linalg.qr(h.apply(Y, adjoint=True))
-            Y, _ = np.linalg.qr(h.apply(Y))
-        B = h.apply(Y, adjoint=True).conj().T      # Y* Gamma
+            Y -= Q @ (Q.conj().T @ Y)
+        return np.linalg.qr(Y)[0]
+
+    Q = np.empty((N, 0), dtype=complex)
+    B = np.empty((0, N), dtype=complex)           # Q* Gamma
+    width = min(N, SKETCH_BLOCK)
+    while True:
+        omega = rng.standard_normal((N, width)) + 1j * rng.standard_normal((N, width))
+        Y = range_step(omega)
+        for _ in range(2):
+            Y = range_step(np.linalg.qr(h.apply(Y, adjoint=True))[0])
+        Q = np.hstack([Q, Y])
+        B = np.vstack([B, h.apply(Y, adjoint=True).conj().T])
         _, svals, vh = np.linalg.svd(B, full_matrices=False)
         cut = ZERO_CUT_RTOL * svals[0]
-        if svals[-1] <= cut or width == N:
+        if svals[-1] <= cut or Q.shape[1] == N:
             keep = int(np.sum(svals > cut))
             return svals[:keep], vh[:keep].conj().T
-        k *= 2
+        width = min(Q.shape[1], N - Q.shape[1])
 
 
 def _orthogonal_complement_in_level(basis: np.ndarray, u_proj: np.ndarray) -> np.ndarray:

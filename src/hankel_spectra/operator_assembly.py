@@ -90,8 +90,9 @@ class OperatorBundle:
 
     ``Jp`` stores the conjugation as a matrix ``C`` acting by
     ``x -> C @ conj(x)``; ``C`` is unitary and symmetric, which encodes
-    involutivity.  ``r_norm``, ``sigma_hat_star``, ``A`` and the orbit of
-    Sigma* are derived on first read.
+    involutivity.  ``r_norm``, ``r_half``, ``r1_squared_eigh``,
+    ``sigma_hat_star``, ``A`` and the orbit of Sigma* are derived on first
+    read, each once per bundle.
     """
 
     dim: int
@@ -115,6 +116,17 @@ class OperatorBundle:
         return float(np.linalg.norm(self.R, 2))
 
     @cached_property
+    def r_half(self) -> np.ndarray:
+        """``R^{1/2}``, read by ``A`` and by the stability report."""
+        return _psd_sqrt(self.R, self.r_norm ** 2)[0]
+
+    @cached_property
+    def r1_squared_eigh(self):
+        """``eigh(R1 @ R1)``, read by the invariant check and by
+        :func:`level_projections`."""
+        return np.linalg.eigh(self.R1 @ self.R1)
+
+    @cached_property
     def sigma_orbit(self) -> Orbit:
         """The orbit ``p, Sigma* p, (Sigma*)^2 p, ...``: the certified
         truncation, the symbol and the decay profile all read this one walk."""
@@ -132,10 +144,8 @@ class OperatorBundle:
         A is a contraction intertwined with Sigma* through R^{1/2}:
         ``Sigma* R^{1/2} = R^{1/2} A``.
         """
-        scale = self.r_norm ** 2
-        r_half, _, _ = _psd_sqrt(self.R, scale)
-        r1_half, _, _ = _psd_sqrt(self.R1, scale)
-        Q = r1_half @ np.linalg.inv(r_half)
+        r1_half, _, _ = _psd_sqrt(self.R1, self.r_norm ** 2)
+        Q = r1_half @ np.linalg.inv(self.r_half)
         return Q.conj().T @ self.phi1 @ Q @ self.phi.conj().T
 
 
@@ -252,12 +262,12 @@ def assemble_from_operators(R, R1, p, phi, phi1, C, layout: BlockLayout,
     bundle = OperatorBundle(
         dim=len(p), R=R, R1=R1, p=p, q=q, qhat=qhat, phi=phi, phi1=phi1,
         Jp=C, sigma_star=sigma, layout=layout)
-    if validate:
-        _validate_bundle(bundle)
-    return bundle
+    return _validate_bundle(bundle) if validate else bundle
 
 
-def _validate_bundle(b: OperatorBundle):
+def _validate_bundle(b: OperatorBundle) -> OperatorBundle:
+    """Return ``b`` if it satisfies its defining identities; raise
+    BundleInvariantError naming the first one it violates."""
     r2 = b.r_norm**2
     checks = {
         "R hermitian": np.linalg.norm(b.R - b.R.conj().T) <= RANK_ONE_RTOL * r2,
@@ -281,7 +291,7 @@ def _validate_bundle(b: OperatorBundle):
     }
     # phi1 must be isometric exactly on (ker R1)^perp and zero on ker R1.
     g = b.phi1.conj().T @ b.phi1
-    evals, vecs = np.linalg.eigh(b.R1 @ b.R1)
+    evals, vecs = b.r1_squared_eigh
     kernel = np.abs(evals) <= CLAMP_RTOL * max(r2, 1.0) * b.dim
     proj_kernel = vecs[:, kernel] @ vecs[:, kernel].conj().T
     checks["phi1 partial isometry"] = (
@@ -289,10 +299,16 @@ def _validate_bundle(b: OperatorBundle):
     for name, ok in checks.items():
         if not ok:
             raise BundleInvariantError(f"bundle violates: {name}")
+    return b
 
 
 def assemble_cyclic(d: CompactSpectralData) -> OperatorBundle:
-    """Assemble the tuple for cyclic data in the eigenbasis of R.
+    """Assemble the tuple for cyclic data and check its invariants."""
+    return _validate_bundle(_build_cyclic(d))
+
+
+def _build_cyclic(d: CompactSpectralData) -> OperatorBundle:
+    """The tuple for cyclic data in the eigenbasis of R, invariants unchecked.
 
     R = diag(lambda), p = sqrt(weights), R1 = PSD root of R^2 - p p*,
     phi = diag(xi), and phi1 carries eta on the eigenvectors of R1 (zero on
@@ -326,7 +342,7 @@ def assemble_cyclic(d: CompactSpectralData) -> OperatorBundle:
         lam_blocks=tuple((k,) for k in range(n)),
         mu_blocks=tuple(() for _ in range(n)),
     )
-    return assemble_from_operators(R, R1, p, phi, phi1, np.eye(n), layout)
+    return assemble_from_operators(R, R1, p, phi, phi1, np.eye(n), layout, validate=False)
 
 
 def _measure_frame(m: AtomicMeasure) -> np.ndarray:
@@ -357,7 +373,13 @@ def _check_cyclic_support(m: AtomicMeasure, where: str):
 
 
 def assemble_multiplicity(d: CompactSpectralData) -> OperatorBundle:
-    """Assemble the block construction for multiplicity data.
+    """Assemble the block construction for multiplicity data and check its
+    invariants."""
+    return _validate_bundle(_build_multiplicity(d))
+
+
+def _build_multiplicity(d: CompactSpectralData) -> OperatorBundle:
+    """The block construction for multiplicity data, invariants unchecked.
 
     Per level, phi restricted to the lambda_k eigenspace is the unitary with
     spectral measure rho_k w.r.t. the normalized p_k, and identity on the mu
@@ -444,24 +466,29 @@ def assemble_multiplicity(d: CompactSpectralData) -> OperatorBundle:
         B = np.column_stack(cols)
         phi1 += B @ _phase_block(d.rho1[k]) @ B.T
 
-    return assemble_from_operators(R, R1, p, phi, phi1, np.eye(dim), layout)
+    return assemble_from_operators(R, R1, p, phi, phi1, np.eye(dim), layout, validate=False)
+
+
+def _build(d: CompactSpectralData) -> OperatorBundle:
+    """The bundle for ``d``, dispatched on the data mode, invariants unchecked."""
+    if d.mode == "cyclic":
+        return _build_cyclic(d)
+    return _build_multiplicity(d)
 
 
 def assemble(d: CompactSpectralData) -> OperatorBundle:
-    """Dispatch on the data mode."""
-    if d.mode == "cyclic":
-        return assemble_cyclic(d)
-    return assemble_multiplicity(d)
+    """The bundle for ``d``, its invariants checked."""
+    return _validate_bundle(_build(d))
 
 
 def level_projections(b: OperatorBundle):
     """Per-level data derived from the bundle: (p_k, p1_k) vectors.
 
     p_k is supported on the k-th lambda block; p1_k is the projection of p
-    onto ker(R1 - mu_k I), recomputed from R1 by eigendecomposition.
+    onto ker(R1 - mu_k I), read off the bundle's eigendecomposition of R1^2.
     """
     lay = b.layout
-    evals, vecs = np.linalg.eigh(b.R1 @ b.R1)
+    evals, vecs = b.r1_squared_eigh
     scale2 = max(float(np.max(np.abs(evals))), 1.0)
     tol = _eig_match_tol(np.asarray(lay.lam), np.asarray(lay.mu), scale2)
     p_ks = []

@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import BundleInvariantError
-from .operator_assembly import BlockLayout
+from .operator_assembly import BlockLayout, _build, _validate_bundle
 from .spectral_data import (
     AtomicMeasure,
     CompactSpectralData,
@@ -42,31 +42,29 @@ def random_phases(rng: np.random.Generator, n: int) -> np.ndarray:
     return np.exp(2j * np.pi * rng.random(n))
 
 
-def _contraction_radius(d: CompactSpectralData) -> float:
-    from .operator_assembly import assemble
-
-    bundle = assemble(d)
-    return float(np.abs(np.linalg.eigvals(bundle.sigma_star)).max())
-
-
 def _guarded(draw, max_contraction: float | None, tries: int = 64) -> CompactSpectralData:
     """Redraw until the model contraction decays fast enough to certify a
-    truncation within the size cap; keeps batch trials bounded.  A draw whose
-    operator tuple fails its own invariants is rejected like a slow one."""
+    truncation within the size cap; keeps batch trials bounded.  Sigma* is
+    read off the unchecked bundle; only a candidate that could be returned
+    (within the bound, or the best so far) has its invariants checked, and one
+    that fails them is rejected like a slow one."""
     if max_contraction is None:
         return draw()
     best, best_r, refusal = None, np.inf, None
     for _ in range(tries):
         d = draw()
+        bundle = _build(d)
+        r = float(np.abs(np.linalg.eigvals(bundle.sigma_star)).max())
+        if r > max_contraction and r >= best_r:
+            continue
         try:
-            r = _contraction_radius(d)
+            _validate_bundle(bundle)
         except BundleInvariantError as exc:
             refusal = exc
             continue
         if r <= max_contraction:
             return d
-        if r < best_r:
-            best, best_r = d, r
+        best, best_r = d, r
     if best is None:
         raise refusal
     return best

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .operator_assembly import OperatorBundle, _psd_sqrt, level_projections, orbit
+from .operator_assembly import OperatorBundle, level_projections, orbit
 
 KRYLOV_RANK_RTOL = 1e-10
 
@@ -81,8 +81,7 @@ def stability_report(b: OperatorBundle, K: int = 200) -> StabilityReport:
     intertwining residual ||Sigma* R^{1/2} - R^{1/2} A||."""
     radius = float(np.abs(np.linalg.eigvals(b.sigma_star)).max())
     profile = np.linalg.norm(b.sigma_orbit(K + 1), axis=0)
-    r_half, _, _ = _psd_sqrt(b.R, b.r_norm**2)
-    residual = float(np.linalg.norm(b.sigma_star @ r_half - r_half @ b.A))
+    residual = float(np.linalg.norm(b.sigma_star @ b.r_half - b.r_half @ b.A))
     norm_a = float(np.linalg.norm(b.A, 2))
     return StabilityReport(
         spectral_radius_sigma=radius,

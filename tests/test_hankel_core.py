@@ -201,12 +201,12 @@ class TestMatrixFreeOperator:
                 err = float(np.abs(got - A @ x).max())
                 assert err <= 1e-12 * scale * float(np.abs(x).max()), (shifted, adjoint)
 
-    @pytest.mark.parametrize("N", [8, 64, 385, 1024])
+    @pytest.mark.parametrize("N", [8, 64, 256, 385, 1024])
     def test_singular_values_match_dense_svd(self, N):
-        # a random symbol has full rank: at N = 64 more values than the
-        # first 32-column sketch holds, so the range finder must widen it
+        # a random symbol has full rank: at N = 64 and 256 more values than
+        # the first block holds, so the range finder must add blocks up to N
         rng = np.random.default_rng(N)
-        gamma = (rng.standard_normal(2 * N - 1) if N <= 64
+        gamma = (rng.standard_normal(2 * N - 1) if N <= 256
                  else _rational_symbol(rng, N))
         h = hs.HankelMatrix.from_gamma(gamma, N)
         sv = h.singular_values()
@@ -214,14 +214,24 @@ class TestMatrixFreeOperator:
         assert sv.shape == (N,)
         assert np.all(np.diff(sv) <= 0)
         keep = int(np.count_nonzero(sv))
-        assert keep == (N if N <= 64 else 5)
+        assert keep == (N if N <= 256 else 5)
         assert np.abs(sv[:keep] - ref[:keep]).max() <= 1e-12 * ref[0]
         assert np.all(ref[keep:] <= hs.hankel_core.ZERO_CUT_RTOL * ref[0])
 
-    def test_rank_one_shift_does_not_widen_sketch(self, monkeypatch):
-        # Gamma S is exactly zero here, but its FFT product is roundoff; cut
-        # against Gamma's own scale, it has no levels and the first sketch
-        # already captures it
+    @pytest.mark.parametrize("rank", [7, 8, 9, 15, 16, 17])
+    def test_ranks_across_block_boundaries(self, rank):
+        # the blocks run 8, 8, 16, ..., and a block stops the finder only
+        # when its last stacked value is below the cut: rank 7 needs one
+        # block, ranks 8, 9 and 15 two, ranks 16 and 17 three
+        N = 385
+        h = hs.HankelMatrix.from_gamma(_rational_symbol(np.random.default_rng(rank), N, rank), N)
+        sv = h.singular_values()
+        ref = np.linalg.svd(h.entries, compute_uv=False)
+        assert int(np.count_nonzero(sv)) == rank
+        assert np.abs(sv - ref).max() <= 1e-12 * ref[0]
+
+    @staticmethod
+    def _apply_widths(monkeypatch):
         widths = []
         apply = hs.HankelMatrix.apply
 
@@ -230,10 +240,29 @@ class TestMatrixFreeOperator:
             return apply(self, x, shifted, adjoint)
 
         monkeypatch.setattr(hs.HankelMatrix, "apply", spy)
+        return widths
+
+    def test_rank_one_shift_does_not_widen_sketch(self, monkeypatch):
+        # Gamma S is exactly zero here, but its FFT product is roundoff; cut
+        # against Gamma's own scale, it has no levels, and one first block
+        # (three products with Gamma and three with Gamma*) captures Gamma
+        widths = self._apply_widths(monkeypatch)
         fd = hs.forward_extract(hs.HankelMatrix.from_gamma([1.0] + [0.0] * 598, 300))
         np.testing.assert_allclose(fd.lam, [1.0])
         np.testing.assert_array_equal(fd.mu, [0.0])
-        assert max(widths) == 32
+        assert widths[:6] == [hs.hankel_core.SKETCH_BLOCK] * 6
+        assert widths[6:] and max(widths[6:]) == 1
+
+    def test_sketch_follows_the_rank(self, monkeypatch):
+        # a rank-6 certified truncation: no product of the forward problem is
+        # wider than the first block
+        d = random_cyclic_data(np.random.default_rng(6), 6, max_contraction=0.97)
+        h = hs.hankel_from_data(d)
+        assert int(np.count_nonzero(h.singular_values())) == 6
+        widths = self._apply_widths(monkeypatch)
+        fd = hs.forward_extract(h)
+        assert len(fd.lam) == 6
+        assert max(widths) == hs.hankel_core.SKETCH_BLOCK == 8
 
 
 class TestRankOneIdentity:
@@ -277,6 +306,16 @@ class TestKernelDiagnostics:
         report = hs.kernel_diagnostics(h, n=2)
         assert report.sigma_min <= 1e-10
         assert report.numerical_rank == 2
+
+    def test_full_rank_has_trivial_kernel(self):
+        # five poles at N = 5: rank 5 with sigma_min 5.6e-10, far above the
+        # zero cut of 1e-8 * sigma_1 = 5.2e-11, so the kernel is trivial
+        z = np.array([0.5, 0.3, -0.2, 0.1, 0.05])
+        h = hs.HankelMatrix.from_gamma(1e-3 * (z[None, :] ** np.arange(9)[:, None]).sum(axis=1), 5)
+        report = hs.kernel_diagnostics(h, n=3)
+        assert report.numerical_rank == 5
+        assert 1e-10 < report.sigma_min < 1e-9
+        assert not report.nontrivial_kernel
 
     def test_rank3_numerical_rank(self):
         rng = np.random.default_rng(9)
