@@ -41,14 +41,19 @@ CLUSTER_JOIN_FRAC = 0.01   # below join_frac * gap two values count as one level
 ZERO_CUT_RTOL = 1e-8       # relative cut below which singular values are kernel
 ANTIDIAG_RTOL = 1e-8
 RANGE_FINDER_SEED = 17     # fixed sketch seed: reruns give byte-identical outputs
-# Columns of the range finder's first block; each later block is as wide as
-# the basis captured before it.  Neighbours were timed on a 2-core machine
+# Columns of the range finder's first draw; each later draw has as many as
+# the basis captured before it.  Neighbours were timed on a 2-core machine,
+# before blocks were cut to the directions they find
 # (run_roundtrip_trial over 288 trials of 16 roundtrip_batch-style jobs,
 # median rank 6, median N 408; three passes, two runs): 4 took 1.96-2.37 s,
 # 8 1.91-2.35 s, 16 2.70-3.14 s.  4 and 8 lie within the run-to-run spread;
 # 8 captures the common ranks up to 7 in one block, so it stayed.  A
 # full-rank N = 1024 symbol took 3.2-4.2 s at 4, 3.3-3.4 s at 8 and 16.
 SKETCH_BLOCK = 8
+# A sketched direction below this fraction of the first product's top value
+# is roundoff: three decades under the zero cut and about four over the FFT
+# products' noise (1e-15 of the top value at N = 385, 5e-15 at N = 4096).
+SKETCH_NOISE_RTOL = 1e-11
 
 
 def _fft_length(n: int) -> int:
@@ -291,16 +296,21 @@ def _top_singular_triplets(h: HankelMatrix):
 
     A seeded blocked randomized range finder (Halko-Martinsson-Tropp,
     section 4.4, in the randQB_b form of Martinsson-Voronin), driven through
-    :meth:`HankelMatrix.apply`.  The first block has SKETCH_BLOCK Gaussian
-    columns; each later block is as wide as the basis Q captured so far, so
-    the widths run 8, 8, 16, 32, ... and follow the rank.  A block takes two
-    power iterations; after every product with Gamma it is projected twice
-    against Q (twice is enough) and orthonormalised, so it cannot converge
-    back onto directions Q already holds.  The rows Y* Gamma of every block
-    are stacked and the SVD of the stack gives the values.  Certified
-    truncations have a many-decade spectral gap at the rank cut, so the
-    subspace is captured to machine precision; capture is verified (last
-    stacked value below the cut, or a full-width basis) before it returns.
+    :meth:`HankelMatrix.apply`.  The first block draws SKETCH_BLOCK Gaussian
+    columns; each later block draws as many as the basis Q holds, so the
+    draws run 8, 8, 16, 32, ...  After every product with Gamma a block is
+    projected twice against Q (twice is enough) and orthonormalised, so it
+    cannot converge back onto directions Q already holds.  The block's first
+    product is cut to the directions it finds: those whose sketched value
+    exceeds SKETCH_NOISE_RTOL times the first product's top value.  The
+    rest is roundoff, so the block's two power iterations run at the width
+    of what it found, and a product that finds fewer directions than it drew
+    shows that Q now holds the range (HMT section 4.3).  The rows Y* Gamma
+    of every block are stacked and the SVD of the stack gives the values.
+    Certified truncations have a many-decade spectral gap at the rank cut,
+    so the subspace is captured to machine precision; capture is verified
+    (a block that found fewer directions than it drew, a last stacked value
+    below the cut, or a full-width basis) before it returns.
     """
     N = h.N
     rng = np.random.default_rng(RANGE_FINDER_SEED)
@@ -310,21 +320,28 @@ def _top_singular_triplets(h: HankelMatrix):
         Y = h.apply(X)
         for _ in range(2):
             Y -= Q @ (Q.conj().T @ Y)
-        return np.linalg.qr(Y)[0]
+        return np.linalg.qr(Y)
 
     Q = np.empty((N, 0), dtype=complex)
     B = np.empty((0, N), dtype=complex)           # Q* Gamma
-    width = min(N, SKETCH_BLOCK)
+    width, top = min(N, SKETCH_BLOCK), None
     while True:
         omega = rng.standard_normal((N, width)) + 1j * rng.standard_normal((N, width))
-        Y = range_step(omega)
-        for _ in range(2):
-            Y = range_step(np.linalg.qr(h.apply(Y, adjoint=True))[0])
-        Q = np.hstack([Q, Y])
-        B = np.vstack([B, h.apply(Y, adjoint=True).conj().T])
-        _, svals, vh = np.linalg.svd(B, full_matrices=False)
+        Y, R = range_step(omega)
+        U, sketched, _ = np.linalg.svd(R)
+        top = sketched[0] if top is None else top
+        found = int(np.sum(sketched > SKETCH_NOISE_RTOL * top))
+        if found:
+            Y = Y @ U[:, :found]
+            for _ in range(2):
+                Y = range_step(np.linalg.qr(h.apply(Y, adjoint=True))[0])[0]
+            Q = np.hstack([Q, Y])
+            B = np.vstack([B, h.apply(Y, adjoint=True).conj().T])
+            _, svals, vh = np.linalg.svd(B, full_matrices=False)
+        if not Q.shape[1]:                        # Gamma = 0
+            return np.zeros(0), np.empty((N, 0), dtype=complex)
         cut = ZERO_CUT_RTOL * svals[0]
-        if svals[-1] <= cut or Q.shape[1] == N:
+        if found < width or svals[-1] <= cut or Q.shape[1] == N:
             keep = int(np.sum(svals > cut))
             return svals[:keep], vh[:keep].conj().T
         width = min(Q.shape[1], N - Q.shape[1])

@@ -220,8 +220,8 @@ class TestMatrixFreeOperator:
 
     @pytest.mark.parametrize("rank", [7, 8, 9, 15, 16, 17])
     def test_ranks_across_block_boundaries(self, rank):
-        # the blocks run 8, 8, 16, ..., and a block stops the finder only
-        # when its last stacked value is below the cut: rank 7 needs one
+        # the draws run 8, 8, 16, ..., and a draw that finds fewer
+        # directions than it has columns stops the finder: rank 7 needs one
         # block, ranks 8, 9 and 15 two, ranks 16 and 17 three
         N = 385
         h = hs.HankelMatrix.from_gamma(_rational_symbol(np.random.default_rng(rank), N, rank), N)
@@ -244,13 +244,15 @@ class TestMatrixFreeOperator:
 
     def test_rank_one_shift_does_not_widen_sketch(self, monkeypatch):
         # Gamma S is exactly zero here, but its FFT product is roundoff; cut
-        # against Gamma's own scale, it has no levels, and one first block
-        # (three products with Gamma and three with Gamma*) captures Gamma
+        # against Gamma's own scale, it has no levels.  One first block
+        # (three products with Gamma and three with Gamma*) captures Gamma:
+        # its draw finds one direction, so its other five products are one
+        # column wide, and no later block is drawn
         widths = self._apply_widths(monkeypatch)
         fd = hs.forward_extract(hs.HankelMatrix.from_gamma([1.0] + [0.0] * 598, 300))
         np.testing.assert_allclose(fd.lam, [1.0])
         np.testing.assert_array_equal(fd.mu, [0.0])
-        assert widths[:6] == [hs.hankel_core.SKETCH_BLOCK] * 6
+        assert widths[:6] == [hs.hankel_core.SKETCH_BLOCK] + [1] * 5
         assert widths[6:] and max(widths[6:]) == 1
 
     def test_sketch_follows_the_rank(self, monkeypatch):
@@ -263,6 +265,20 @@ class TestMatrixFreeOperator:
         fd = hs.forward_extract(h)
         assert len(fd.lam) == 6
         assert max(widths) == hs.hankel_core.SKETCH_BLOCK == 8
+
+    def test_later_block_runs_at_the_width_it_finds(self, monkeypatch):
+        # rank 9: the first draw of 8 finds 8 directions, so a second block
+        # is drawn; its draw finds the one direction left, and its power
+        # iterations and stacked rows are one column wide
+        N = 385
+        h = hs.HankelMatrix.from_gamma(_rational_symbol(np.random.default_rng(9), N, 9), N)
+        widths = self._apply_widths(monkeypatch)
+        assert int(np.count_nonzero(h.singular_values())) == 9
+        assert widths == [8] * 6 + [8] + [1] * 5
+
+    def test_zero_symbol_has_no_values(self):
+        h = hs.HankelMatrix.from_gamma(np.zeros(9), 5)
+        np.testing.assert_array_equal(h.singular_values(), np.zeros(5))
 
 
 class TestRankOneIdentity:
