@@ -1,14 +1,20 @@
 """JSON document schemas and their parsers.
 
 Complex numbers are always two-element [re, im] arrays; angles are never
-used.  Emission is canonical (sorted keys, two-space indent) so identical
-inputs produce byte-identical documents, and ``parse(emit(x))`` is the
-identity on every emitted document.
+used.  Emission is canonical: :func:`dumps` writes the bytes of
+``json.dumps(doc, indent=2, sort_keys=True) + "\n"``, so identical inputs
+produce byte-identical documents, and ``parse(emit(x))`` is the identity on
+every emitted document.  Every parser reads numbers by one rule: a finite
+JSON int or float, never a bool or a string.
 """
 
 from __future__ import annotations
 
+import functools
 import json
+import math
+import re
+from itertools import chain
 
 import numpy as np
 
@@ -25,38 +31,86 @@ def _c(z) -> list:
     return [z.real, z.imag]
 
 
-def _parse_c(v, what: str) -> complex:
-    if isinstance(v, (int, float)):
-        return complex(v)
-    if isinstance(v, (list, tuple)) and len(v) == 2 and all(
-            isinstance(x, (int, float)) for x in v):
-        return complex(v[0], v[1])
-    raise SchemaError(f"{what}: expected a real or an [re, im] pair, got {v!r}")
-
-
-def _cvec(values) -> list:
-    return [_c(z) for z in np.asarray(values, dtype=complex)]
-
-
-def _parse_cvec(values, what: str) -> np.ndarray:
-    if not isinstance(values, list):
-        raise SchemaError(f"{what}: expected a list")
-    return np.asarray([_parse_c(v, what) for v in values], dtype=complex)
-
-
-def _cmat(M) -> list:
-    M = np.asarray(M, dtype=complex)
-    return [[_c(z) for z in row] for row in M]
-
-
-def _parse_cmat(rows, what: str) -> np.ndarray:
-    if not isinstance(rows, list) or not rows:
-        raise SchemaError(f"{what}: expected a nonempty list of rows")
-    return np.asarray([[_parse_c(v, what) for v in row] for row in rows], dtype=complex)
+def _clist(values) -> list:
+    """A complex array of any shape as nested lists ending in [re, im] pairs."""
+    a = np.ascontiguousarray(values, dtype=complex)
+    return a.view(float).reshape(a.shape + (2,)).tolist()
 
 
 def _fvec(values) -> list:
-    return [float(v) for v in np.asarray(values, dtype=float)]
+    return np.asarray(values, dtype=float).tolist()
+
+
+def _number(x) -> float | None:
+    """``x`` as a float if it is a number (a finite int or float, not a
+    bool), else None."""
+    if isinstance(x, (int, float)) and not isinstance(x, bool):
+        try:
+            value = float(x)
+        except OverflowError:
+            return None
+        if math.isfinite(value):
+            return value
+    return None
+
+
+def _parse_real(x, what: str) -> float:
+    value = _number(x)
+    if value is None:
+        raise SchemaError(f"{what}: expected a finite number, got {x!r}")
+    return value
+
+
+def _parse_c(v, what: str) -> complex:
+    re_im = v if isinstance(v, (list, tuple)) and len(v) == 2 else (v, 0)
+    re_part, im_part = map(_number, re_im)
+    if re_part is None or im_part is None:
+        raise SchemaError(f"{what}: expected a finite real or an [re, im] pair of them, got {v!r}")
+    return complex(re_part, im_part)
+
+
+def _bulk_floats(values) -> np.ndarray | None:
+    """``values`` as a float array when each is a finite JSON int or float,
+    else None; the per-entry parse then accepts or names the offender."""
+    if not set(map(type, values)) <= {int, float}:
+        return None
+    try:
+        a = np.array(values, dtype=float)
+    except OverflowError:
+        return None
+    return a if np.isfinite(a).all() else None
+
+
+def _require_list(values, what: str):
+    if not isinstance(values, list):
+        raise SchemaError(f"{what}: expected a list")
+
+
+def _parse_fvec(values, what: str) -> np.ndarray:
+    _require_list(values, what)
+    a = _bulk_floats(values)
+    return a if a is not None else np.array([_parse_real(v, what) for v in values], dtype=float)
+
+
+def _is_pairs(values) -> bool:
+    """Whether ``values`` is a nonempty list of two-element lists."""
+    return set(map(type, values)) == {list} and set(map(len, values)) == {2}
+
+
+def _parse_cvec(values, what: str) -> np.ndarray:
+    _require_list(values, what)
+    pairs = _is_pairs(values)
+    a = _bulk_floats(list(chain.from_iterable(values)) if pairs else values)
+    if a is not None:
+        return a.view(complex) if pairs else a.astype(complex)
+    return np.array([_parse_c(v, what) for v in values], dtype=complex)
+
+
+def _parse_cmat(rows, what: str) -> np.ndarray:
+    if (not isinstance(rows, list) or not rows or not all(isinstance(r, list) for r in rows)
+            or len(set(map(len, rows))) != 1):
+        raise SchemaError(f"{what}: expected a nonempty list of rows of equal length")
+    return _parse_cvec(list(chain.from_iterable(rows)), what).reshape(len(rows), -1)
 
 
 def _require(doc: dict, key: str, schema: str):
@@ -71,8 +125,103 @@ def _check_schema(doc: dict, name: str):
         raise SchemaError(f"expected schema {name!r}, document says {tag!r}")
 
 
+# Canonical encoder.  A flat list of floats, and a list of [re, im] float
+# pairs, are written in bulk: float.__repr__ over a map, then one join with
+# the indentation in the separators.  Anything else takes the general path,
+# which follows json's indent encoder item by item.
+
+_INDENT = "  "
+_ESCAPE = re.compile(r'[^ -~]|[\\"]')
+_ESCAPES = {chr(i): f"\\u{i:04x}" for i in range(0x20)} | {
+    "\\": "\\\\", '"': '\\"', "\b": "\\b", "\f": "\\f", "\n": "\\n", "\r": "\\r", "\t": "\\t"}
+
+
+def _escape(match) -> str:
+    c = match.group()
+    if c in _ESCAPES:
+        return _ESCAPES[c]
+    n = ord(c)
+    if n < 0x10000:
+        return f"\\u{n:04x}"
+    n -= 0x10000
+    return f"\\u{0xD800 | (n >> 10):04x}\\u{0xDC00 | (n & 0x3FF):04x}"
+
+
+@functools.lru_cache(maxsize=1024)
+def _str(s: str) -> str:
+    return '"' + _ESCAPE.sub(_escape, s) + '"'
+
+
+_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _float(x: float) -> str:
+    text = float.__repr__(x)
+    return _NONFINITE.get(text, text)
+
+
+# json text of a scalar by its exact type; subclasses of str, int and float
+# take the isinstance chain in _encode, as json checks them
+_SCALARS = {float: _float, str: _str, int: int.__repr__, bool: {True: "true", False: "false"}.get,
+            type(None): lambda _: "null"}
+
+
+def _floats(values, sep: str) -> str | None:
+    """The finite floats ``values`` joined by ``sep``, or None for any other list."""
+    try:
+        text = sep.join(map(float.__repr__, values))
+    except TypeError:
+        return None
+    return None if "n" in text else text  # 'nan' and 'inf' need json's spelling
+
+
+def _pairs(values, inner: str) -> str | None:
+    """The items of a list of [re, im] float pairs, or None for any other list."""
+    if not _is_pairs(values):
+        return None
+    inner2 = inner + _INDENT
+    reprs = iter(map(float.__repr__, chain.from_iterable(values)))
+    try:
+        text = (inner + "]," + inner + "[" + inner2).join(map(("," + inner2).join, zip(reprs, reprs)))
+    except TypeError:
+        return None
+    return None if "n" in text else "[" + inner2 + text + inner + "]"
+
+
+def _encode(o, nl: str) -> str:
+    """``o`` as json writes it at the line indentation ``nl`` (a newline and
+    the indent of the line ``o`` opens on)."""
+    scalar = _SCALARS.get(type(o))
+    if scalar is not None:
+        return scalar(o)
+    inner = nl + _INDENT
+    if isinstance(o, (list, tuple)):
+        if not o:
+            return "[]"
+        sep = "," + inner
+        text = _floats(o, sep) or _pairs(o, inner) or sep.join([_encode(v, inner) for v in o])
+        return "[" + inner + text + nl + "]"
+    if isinstance(o, dict):
+        if not o:
+            return "{}"
+        return "{" + inner + ("," + inner).join(
+            [_key(k) + ": " + _encode(v, inner) for k, v in sorted(o.items())]) + nl + "}"
+    for kind in (str, int, float):
+        if isinstance(o, kind):
+            return _SCALARS[kind](o)
+    raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
+
+
+def _key(k) -> str:
+    if isinstance(k, str):
+        return _str(k)
+    if k is None or isinstance(k, (int, float)):
+        return '"' + _encode(k, "") + '"'
+    raise TypeError(f"keys must be str, int, float, bool or None, not {k.__class__.__name__}")
+
+
 def dumps(doc: dict) -> str:
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    return _encode(doc, "\n") + "\n"
 
 
 def loads(text: str) -> dict:
@@ -93,18 +242,21 @@ def emit_spectrum(s: IntertwinedSpectrum) -> dict:
 
 def parse_spectrum(doc: dict) -> IntertwinedSpectrum:
     _check_schema(doc, "spectrum.v1")
-    return validate_intertwining(_require(doc, "lambda", "spectrum.v1"),
-                                 _require(doc, "mu", "spectrum.v1"))
+    return validate_intertwining(
+        _parse_fvec(_require(doc, "lambda", "spectrum.v1"), "spectrum.v1 lambda"),
+        _parse_fvec(_require(doc, "mu", "spectrum.v1"), "spectrum.v1 mu"))
 
 
 # measure.v1
+
+_MEASURE_FLAGS = ("circle", "probability")
 
 def emit_measure(m: AtomicMeasure) -> dict:
     atoms = []
     for point, weight in m.atoms:
         encoded = point.real if (not m.circle and point.imag == 0.0) else _c(point)
         atoms.append({"point": encoded, "weight": float(weight)})
-    flags = [f for f, on in (("circle", m.circle), ("probability", m.probability)) if on]
+    flags = [f for f, on in zip(_MEASURE_FLAGS, (m.circle, m.probability)) if on]
     return {"schema": "measure.v1", "atoms": atoms, "flags": flags}
 
 
@@ -114,8 +266,12 @@ def parse_measure(doc: dict) -> AtomicMeasure:
     if not isinstance(atoms, list) or not atoms:
         raise SchemaError("measure.v1: atoms must be a nonempty list")
     points = [_parse_c(_require(a, "point", "measure.v1"), "measure.v1 point") for a in atoms]
-    weights = [_require(a, "weight", "measure.v1") for a in atoms]
+    weights = [_parse_real(_require(a, "weight", "measure.v1"), "measure.v1 weight")
+               for a in atoms]
     flags = doc.get("flags", [])
+    if not isinstance(flags, list) or any(f not in _MEASURE_FLAGS for f in flags):
+        raise SchemaError(f"measure.v1: flags must be a list of names from {_MEASURE_FLAGS}, "
+                          f"got {flags!r}")
     return AtomicMeasure(points=points, weights=weights,
                          circle="circle" in flags, probability="probability" in flags)
 
@@ -126,8 +282,8 @@ def emit_spectral_data(d: CompactSpectralData) -> dict:
     doc = {"schema": "spectral_data.v1", "mode": d.mode,
            "spectrum": emit_spectrum(d.spectrum)}
     if d.mode == "cyclic":
-        doc["xi"] = _cvec(d.xi)
-        doc["eta"] = _cvec(d.eta)
+        doc["xi"] = _clist(d.xi)
+        doc["eta"] = _clist(d.eta)
     else:
         doc["rho"] = [emit_measure(m) for m in d.rho]
         doc["rho1"] = [None if m is None else emit_measure(m) for m in d.rho1]
@@ -153,7 +309,7 @@ def parse_spectral_data(doc: dict) -> CompactSpectralData:
 # hankel.v1
 
 def emit_hankel(h: HankelMatrix) -> dict:
-    return {"schema": "hankel.v1", "gamma": _cvec(h.gamma), "N": int(h.N)}
+    return {"schema": "hankel.v1", "gamma": _clist(h.gamma), "N": int(h.N)}
 
 
 def parse_hankel(doc: dict) -> HankelMatrix:
@@ -187,9 +343,10 @@ def parse_roundtrip_job(doc: dict, default_mode: str) -> dict:
     if job["mode"] not in ("cyclic", "multiplicity"):
         raise SchemaError(f"roundtrip_job.v1: mode must be 'cyclic' or 'multiplicity', "
                           f"got {job['mode']!r}")
-    guard = doc.get("max_contraction", 0.97)
-    if isinstance(guard, bool) or not isinstance(guard, (int, float)) or not 0 < guard <= 1:
-        raise SchemaError(f"roundtrip_job.v1: max_contraction must lie in (0, 1], got {guard!r}")
+    raw = doc.get("max_contraction", 0.97)
+    guard = _number(raw)
+    if guard is None or not 0 < guard <= 1:
+        raise SchemaError(f"roundtrip_job.v1: max_contraction must lie in (0, 1], got {raw!r}")
     job["max_contraction"] = guard
     return job
 
@@ -206,8 +363,8 @@ def emit_layout(layout: BlockLayout) -> dict:
 
 def parse_layout(doc: dict) -> BlockLayout:
     return BlockLayout(
-        lam=tuple(_require(doc, "lam", "bundle.v1 layout")),
-        mu=tuple(_require(doc, "mu", "bundle.v1 layout")),
+        lam=tuple(_parse_fvec(_require(doc, "lam", "bundle.v1 layout"), "layout lam").tolist()),
+        mu=tuple(_parse_fvec(_require(doc, "mu", "bundle.v1 layout"), "layout mu").tolist()),
         lam_blocks=tuple(tuple(b) for b in _require(doc, "lam_blocks", "bundle.v1 layout")),
         mu_blocks=tuple(tuple(b) for b in _require(doc, "mu_blocks", "bundle.v1 layout")),
     )
@@ -217,12 +374,12 @@ def emit_bundle(b: OperatorBundle) -> dict:
     return {
         "schema": "bundle.v1",
         "dim": b.dim,
-        "R": _cmat(b.R), "R1": _cmat(b.R1),
-        "p": _cvec(b.p), "q": _cvec(b.q), "qhat": _cvec(b.qhat),
-        "phi": _cmat(b.phi), "phi1": _cmat(b.phi1),
-        "Jp": _cmat(b.Jp),
-        "sigma_star": _cmat(b.sigma_star), "sigma_hat_star": _cmat(b.sigma_hat_star),
-        "A": _cmat(b.A),
+        "R": _clist(b.R), "R1": _clist(b.R1),
+        "p": _clist(b.p), "q": _clist(b.q), "qhat": _clist(b.qhat),
+        "phi": _clist(b.phi), "phi1": _clist(b.phi1),
+        "Jp": _clist(b.Jp),
+        "sigma_star": _clist(b.sigma_star), "sigma_hat_star": _clist(b.sigma_hat_star),
+        "A": _clist(b.A),
         "layout": emit_layout(b.layout),
     }
 
@@ -261,7 +418,7 @@ def emit_stability(r: StabilityReport) -> dict:
 # blaschke.v1 and level lists
 
 def emit_blaschke(theta: BlaschkeProduct) -> dict:
-    return {"schema": "blaschke.v1", "zeros": _cvec(theta.zeros),
+    return {"schema": "blaschke.v1", "zeros": _clist(theta.zeros),
             "constant": _c(theta.constant)}
 
 
