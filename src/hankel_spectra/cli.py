@@ -7,6 +7,7 @@ class is named in a JSON object on stderr), 4 I/O failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import dataclass, field
@@ -84,8 +85,9 @@ def _cmd_analyze(cfg: JobConfig) -> int:
     return 0
 
 
-def _trial_data(job: dict, seed_seq: np.random.SeedSequence, default_mode: str):
-    job = serialize.parse_roundtrip_job(job, default_mode)
+def _trial_data(job: dict, seed_seq: np.random.SeedSequence):
+    """One trial's spectral data, drawn for a job checked by
+    ``serialize.parse_roundtrip_job``."""
     rng = np.random.default_rng(seed_seq)
     n = int(rng.integers(1, job["n_max"] + 1))
     if job["mode"] == "multiplicity":
@@ -101,11 +103,11 @@ def _cmd_roundtrip(cfg: JobConfig) -> int:
     keys = ("lam", "mu", "weights", "phases")
     if doc.get("schema") == "roundtrip_job.v1":
         # checked before the first trial: a trial's refusal is reported, a bad job exits 2
-        trials = serialize.parse_roundtrip_job(doc, cfg.mode)["trials"]
+        job = serialize.parse_roundtrip_job(doc, cfg.mode)
         results = []
-        for i, seed_seq in enumerate(np.random.SeedSequence(cfg.seed).spawn(trials)):
+        for i, seed_seq in enumerate(np.random.SeedSequence(cfg.seed).spawn(job["trials"])):
             try:
-                data = _trial_data(doc, seed_seq, cfg.mode)
+                data = _trial_data(job, seed_seq)
                 errs = run_roundtrip_trial(data, truncation=cfg.truncation,
                                            tail_tol=tols.cert_tail,
                                            cluster_gap=tols.cluster_gap)
@@ -212,7 +214,10 @@ _OPTIONS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process: parsing leaves it unchanged,
+    and an option left unset stays off each call's namespace."""
     parser = argparse.ArgumentParser(
         prog="hankel-spectra",
         description="Synthesize Hankel matrices from spectral data and back.")

@@ -3,12 +3,12 @@
 The inverse direction walks one blocked orbit of the contraction Sigma*: the
 geometric decay of ``(Sigma*)^k p`` certifies the truncation, and the same
 columns give the symbol ``gamma_k = <q, (Sigma*)^k p>``.  The forward
-direction finds the leading singular subspace of the truncation Gamma with a
+direction captures the truncation as a factor Gamma = Q B with a one-pass
 randomized range finder that applies Gamma by FFT from the symbol, reads
-Gamma S off that subspace, classifies the merged singular values into lambda
-and mu levels by multiplicity difference, and recovers weights and per-level
-phases (or circle measures) from the action of the conjugated operator on the
-level eigenspaces.
+Gamma S and the phase products off that factor, classifies the merged
+singular values into lambda and mu levels by multiplicity difference, and
+recovers weights and per-level phases (or circle measures) from the action
+of the conjugated operator on the level eigenspaces.
 """
 
 from __future__ import annotations
@@ -42,13 +42,13 @@ ZERO_CUT_RTOL = 1e-8       # relative cut below which singular values are kernel
 ANTIDIAG_RTOL = 1e-8
 RANGE_FINDER_SEED = 17     # fixed sketch seed: reruns give byte-identical outputs
 # Columns of the range finder's first draw; each later draw has as many as
-# the basis captured before it.  Neighbours were timed on a 2-core machine,
-# before blocks were cut to the directions they find
-# (run_roundtrip_trial over 288 trials of 16 roundtrip_batch-style jobs,
-# median rank 6, median N 408; three passes, two runs): 4 took 1.96-2.37 s,
-# 8 1.91-2.35 s, 16 2.70-3.14 s.  4 and 8 lie within the run-to-run spread;
-# 8 captures the common ranks up to 7 in one block, so it stayed.  A
-# full-rank N = 1024 symbol took 3.2-4.2 s at 4, 3.3-3.4 s at 8 and 16.
+# the basis captured before it.  Neighbours were timed on a 2-core machine
+# with the one-pass finder (run_roundtrip_trial over 288 trials of 16
+# roundtrip_batch-style jobs, median rank 5, median N 377; three passes, two
+# runs): 4 took 1.78-2.31 s, 8 1.56-2.16 s, 16 1.92-2.64 s.  All three lie
+# within the run-to-run spread; 8 captures the common ranks up to 7 in one
+# block, so it stayed.  A full-rank N = 1024 symbol took 2.98-3.26 s at 4,
+# 2.96-3.07 s at 8 and 2.85-3.16 s at 16.
 SKETCH_BLOCK = 8
 # A sketched direction below this fraction of the first product's top value
 # is roundoff: three decades under the zero cut and about four over the FFT
@@ -163,7 +163,7 @@ class HankelMatrix:
     def singular_values(self) -> np.ndarray:
         """All N singular values, descending: those above ZERO_CUT_RTOL * sigma_1
         as the range finder captures them, then exact zeros."""
-        svals, _ = _top_singular_triplets(self)
+        svals = _top_singular_triplets(self)[0]
         return np.concatenate([svals, np.zeros(self.N - len(svals))])
 
 
@@ -291,60 +291,76 @@ def _cluster_levels(svals_desc: np.ndarray, smax: float, gap: float):
 
 
 def _top_singular_triplets(h: HankelMatrix):
-    """Singular values of Gamma above ZERO_CUT_RTOL * sigma_1, descending, and
-    their right vectors.
+    """Singular values of Gamma above ZERO_CUT_RTOL * sigma_1, descending,
+    their right vectors, and the captured factor Gamma = Q B.
 
     A seeded blocked randomized range finder (Halko-Martinsson-Tropp,
     section 4.4, in the randQB_b form of Martinsson-Voronin), driven through
     :meth:`HankelMatrix.apply`.  The first block draws SKETCH_BLOCK Gaussian
     columns; each later block draws as many as the basis Q holds, so the
-    draws run 8, 8, 16, 32, ...  After every product with Gamma a block is
-    projected twice against Q (twice is enough) and orthonormalised, so it
-    cannot converge back onto directions Q already holds.  The block's first
-    product is cut to the directions it finds: those whose sketched value
-    exceeds SKETCH_NOISE_RTOL times the first product's top value.  The
-    rest is roundoff, so the block's two power iterations run at the width
-    of what it found, and a product that finds fewer directions than it drew
-    shows that Q now holds the range (HMT section 4.3).  The rows Y* Gamma
-    of every block are stacked and the SVD of the stack gives the values.
-    Certified truncations have a many-decade spectral gap at the rank cut,
-    so the subspace is captured to machine precision; capture is verified
+    draws run 8, 8, 16, 32, ...  A block's product with Gamma is projected
+    against Q, orthonormalised and cut to the directions it finds: those
+    whose sketched value exceeds SKETCH_NOISE_RTOL times the first
+    product's top value.  The rest is roundoff, and a product that finds
+    fewer directions than it drew shows that Q now holds the range (HMT
+    section 4.3).  The kept directions carry the projection's roundoff
+    divided by their sketched values, so they are projected once more and
+    orthonormalised: twice is enough once the block is normalised.  The
+    rows Y* Gamma of every block are stacked into B = Q* Gamma, and the SVD
+    of B gives the values and right vectors.  No power iteration runs: a
+    certified truncation factors through its rank-d bundle,
+    Gamma_N = O_N C_N, so every singular value past d is roundoff, and one
+    product captures the range to machine precision.  Capture is verified
     (a block that found fewer directions than it drew, a last stacked value
-    below the cut, or a full-width basis) before it returns.
+    below the cut, or a full-width basis) before it returns.  Q (N x k,
+    orthonormal) and B (k x N) are returned whole, with the directions
+    between the noise cut and the zero cut.
     """
     N = h.N
     rng = np.random.default_rng(RANGE_FINDER_SEED)
-
-    def range_step(X):
-        """Gamma X projected twice against the current Q, orthonormalised."""
-        Y = h.apply(X)
-        for _ in range(2):
-            Y -= Q @ (Q.conj().T @ Y)
-        return np.linalg.qr(Y)
-
     Q = np.empty((N, 0), dtype=complex)
     B = np.empty((0, N), dtype=complex)           # Q* Gamma
     width, top = min(N, SKETCH_BLOCK), None
     while True:
         omega = rng.standard_normal((N, width)) + 1j * rng.standard_normal((N, width))
-        Y, R = range_step(omega)
+        Y = h.apply(omega)
+        Y -= Q @ (Q.conj().T @ Y)
+        Y, R = np.linalg.qr(Y)
         U, sketched, _ = np.linalg.svd(R)
         top = sketched[0] if top is None else top
         found = int(np.sum(sketched > SKETCH_NOISE_RTOL * top))
         if found:
             Y = Y @ U[:, :found]
-            for _ in range(2):
-                Y = range_step(np.linalg.qr(h.apply(Y, adjoint=True))[0])[0]
+            Y -= Q @ (Q.conj().T @ Y)
+            Y = np.linalg.qr(Y)[0]
             Q = np.hstack([Q, Y])
             B = np.vstack([B, h.apply(Y, adjoint=True).conj().T])
-            _, svals, vh = np.linalg.svd(B, full_matrices=False)
         if not Q.shape[1]:                        # Gamma = 0
-            return np.zeros(0), np.empty((N, 0), dtype=complex)
-        cut = ZERO_CUT_RTOL * svals[0]
-        if found < width or svals[-1] <= cut or Q.shape[1] == N:
-            keep = int(np.sum(svals > cut))
-            return svals[:keep], vh[:keep].conj().T
+            return np.zeros(0), np.empty((N, 0), dtype=complex), Q, B
+        # vectors are taken only for the stack that returns
+        done = found < width or Q.shape[1] == N
+        if not done:
+            svals = np.linalg.svd(B, compute_uv=False)
+            done = svals[-1] <= ZERO_CUT_RTOL * svals[0]
+        if done:
+            _, svals, vh = np.linalg.svd(B, full_matrices=False)
+            keep = int(np.sum(svals > ZERO_CUT_RTOL * svals[0]))
+            return svals[:keep], vh[:keep].conj().T, Q, B
         width = min(Q.shape[1], N - Q.shape[1])
+
+
+def _shifted_triplets(V: np.ndarray, B: np.ndarray, cut: float):
+    """Singular values of Gamma S above ``cut`` and their right vectors, read
+    off the factor Gamma = Q B of :func:`_top_singular_triplets`.
+
+    Gamma S x = Gamma (S x) = Q B[:, 1:] x[:-1], and Q is orthonormal, so
+    (Gamma S) V has the singular values of the small matrix B[:, 1:] V[:-1].
+    Since ran (Gamma S)* lies in ran Gamma* = span V, this Rayleigh-Ritz
+    step gives every singular triplet of Gamma S above the cut.
+    """
+    _, svals, wh = np.linalg.svd(B[:, 1:] @ V[:-1], full_matrices=False)
+    keep = svals > cut
+    return svals[keep], V @ wh[keep].conj().T
 
 
 def _orthogonal_complement_in_level(basis: np.ndarray, u_proj: np.ndarray) -> np.ndarray:
@@ -418,10 +434,11 @@ def forward_extract(h: HankelMatrix, cluster_gap: float = CLUSTER_GAP) -> Forwar
 
     The rank-one identity |Gamma|^2 - |Gamma S|^2 = u u*, u = Gamma* e_0,
     puts ran (Gamma S)* inside ran Gamma*, so one range finder for Gamma
-    serves both operators: a thin SVD of (Gamma S) V on Gamma's right
-    singular vectors V gives every singular triplet of Gamma S above the
-    zero cut (Rayleigh-Ritz).  The merged singular values are clustered
-    once; at each level dim ker(|Gamma| - s) - dim ker(|Gamma S| - s) is +1
+    serves both operators: its factor Gamma = Q B gives every singular
+    triplet of Gamma S above the zero cut (:func:`_shifted_triplets`), and
+    every product with Gamma or Gamma S below runs through Q B.  The merged
+    singular values are clustered once; at each level
+    dim ker(|Gamma| - s) - dim ker(|Gamma S| - s) is +1
     at a lambda level and -1 at a mu level, and the weight is the u-mass on
     that operator's eigenspace.  n lambda levels against n - 1 mu levels
     mean a terminal mu_n = 0, whose weight is the u-mass on ker Gamma S.
@@ -439,11 +456,9 @@ def forward_extract(h: HankelMatrix, cluster_gap: float = CLUSTER_GAP) -> Forwar
         raise DegenerateSpectrumError("u = Gamma* e_0 vanishes, so no level carries u-mass")
     residuals: dict = {}
 
-    svals, V = _top_singular_triplets(h)     # u != 0, so Gamma has a value above the cut
+    svals, V, Q, B = _top_singular_triplets(h)   # u != 0, so Gamma has a value above the cut
     smax = float(svals[0])
-    _, svals1, wh = np.linalg.svd(h.apply(V, shifted=True), full_matrices=False)
-    nonzero = svals1 > ZERO_CUT_RTOL * smax
-    svals1, V1 = svals1[nonzero], V @ wh[nonzero].conj().T
+    svals1, V1 = _shifted_triplets(V, B, ZERO_CUT_RTOL * smax)
     kernel_u = abs(u_mass - float(np.linalg.norm(V1.conj().T @ u) ** 2))  # u-mass on ker Gamma S
 
     values = np.concatenate([svals, svals1])
@@ -489,6 +504,10 @@ def forward_extract(h: HankelMatrix, cluster_gap: float = CLUSTER_GAP) -> Forwar
     residuals["cluster_spread"] = spread / smax
     residuals["kernel_u_mass"] = kernel_u / u_mass
 
+    def product(x, shifted):
+        """Gamma x, or Gamma S x when ``shifted``, through the factor Q B."""
+        return Q @ (B[:, 1:] @ x[:-1] if shifted else B @ x)
+
     def phase_of(level, shifted):
         """Scalar phase or circle measure of the polar factor of Gamma
         (Gamma S when ``shifted``) on one level."""
@@ -496,15 +515,15 @@ def forward_extract(h: HankelMatrix, cluster_gap: float = CLUSTER_GAP) -> Forwar
         uk = level["u_proj"]
         uhat = uk / np.linalg.norm(uk)
         if level["basis"].shape[1] == 1:
-            val = complex(np.vdot(uhat, np.conj(h.apply(uhat, shifted)) / s))
+            val = complex(np.vdot(uhat, np.conj(product(uhat, shifted)) / s))
             residuals["phase_modulus"] = max(
                 residuals.get("phase_modulus", 0.0), abs(abs(val) - 1.0))
             return val / abs(val)
         Y = _orthogonal_complement_in_level(level["basis"], uk)
-        JY = np.conj(h.apply(Y, not shifted)) / s
+        JY = np.conj(product(Y, not shifted)) / s
         W = np.column_stack([uhat, Y])
         JW = np.column_stack([uhat, JY])
-        U = W.conj().T @ (np.conj(h.apply(JW, shifted)) / s)
+        U = W.conj().T @ (np.conj(product(JW, shifted)) / s)
         return _unitary_spectral_measure(U, residuals)
 
     xi = tuple(phase_of(lv, False) for lv in lam_levels)

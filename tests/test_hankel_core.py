@@ -1,7 +1,10 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import hankel_spectra as hs
+from hankel_spectra import serialize
 from hankel_spectra.errors import (
     ClusterAmbiguityError,
     DegenerateSpectrumError,
@@ -14,6 +17,8 @@ from hankel_spectra.random_data import (
     random_multiplicity_data,
 )
 from hankel_spectra.roundtrip import run_roundtrip_trial
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 class TestGammaSequence:
@@ -175,10 +180,10 @@ class TestHankelMatrixIngestion:
             hs.HankelMatrix.from_entries(m)
 
 
-def _rational_symbol(rng, N, poles=5):
-    """gamma_k = sum_i c_i z_i^k with |z_i| <= 0.9: rank `poles`, with
-    |z_i|^k < 1e-16 from k = 350 on."""
-    z = rng.uniform(0.5, 0.9, poles) * np.exp(2j * np.pi * rng.random(poles))
+def _rational_symbol(rng, N, poles=5, modulus=(0.5, 0.9)):
+    """gamma_k = sum_i c_i z_i^k with |z_i| in `modulus`: rank `poles`; at
+    the default |z_i| <= 0.9, |z_i|^k < 1e-16 from k = 350 on."""
+    z = rng.uniform(*modulus, poles) * np.exp(2j * np.pi * rng.random(poles))
     c = rng.standard_normal(poles) + 1j * rng.standard_normal(poles)
     return (c[None, :] * z[None, :] ** np.arange(2 * N - 1)[:, None]).sum(axis=1)
 
@@ -230,6 +235,38 @@ class TestMatrixFreeOperator:
         assert int(np.count_nonzero(sv)) == rank
         assert np.abs(sv - ref).max() <= 1e-12 * ref[0]
 
+    @pytest.mark.parametrize("rank", [7, 8, 9, 16, 17])
+    def test_shifted_triplets_match_dense_svd(self, rank):
+        # Gamma S read off the captured factor Q B: its values and the
+        # subspace they span, weighted by Gamma S, agree with the dense SVD
+        N = 385
+        h = hs.HankelMatrix.from_gamma(_rational_symbol(np.random.default_rng(rank), N, rank), N)
+        svals, V, Q, B = hs.hankel_core._top_singular_triplets(h)
+        assert np.allclose(Q.conj().T @ Q, np.eye(Q.shape[1]), atol=1e-14)
+        cut = hs.hankel_core.ZERO_CUT_RTOL * svals[0]
+        svals1, V1 = hs.hankel_core._shifted_triplets(V, B, cut)
+        GS = h.shifted()
+        _, ref, vh = np.linalg.svd(GS)
+        keep = int(np.sum(ref > cut))
+        assert len(svals1) == keep
+        assert np.abs(svals1 - ref[:keep]).max() <= 1e-12 * svals[0]
+        ref_proj = vh[:keep].conj().T @ vh[:keep]
+        assert np.linalg.norm(GS @ (ref_proj - V1 @ V1.conj().T), 2) <= 1e-12 * svals[0]
+
+    def test_slow_decay_matches_dense_svd(self):
+        # 60 poles of modulus 0.9-0.99: the values decay slowly, over seven
+        # decades, the case power iterations sharpen; one pass keeps every
+        # value above the cut to 1e-12 sigma_1, and the same count
+        N = 385
+        h = hs.HankelMatrix.from_gamma(
+            _rational_symbol(np.random.default_rng(60), N, 60, modulus=(0.9, 0.99)), N)
+        sv = h.singular_values()
+        ref = np.linalg.svd(h.entries, compute_uv=False)
+        cut = hs.hankel_core.ZERO_CUT_RTOL * ref[0]
+        keep = int(np.sum(ref > cut))
+        assert int(np.count_nonzero(sv)) == keep
+        assert np.abs(sv[:keep] - ref[:keep]).max() <= 1e-12 * ref[0]
+
     @staticmethod
     def _apply_widths(monkeypatch):
         widths = []
@@ -243,17 +280,17 @@ class TestMatrixFreeOperator:
         return widths
 
     def test_rank_one_shift_does_not_widen_sketch(self, monkeypatch):
-        # Gamma S is exactly zero here, but its FFT product is roundoff; cut
-        # against Gamma's own scale, it has no levels.  One first block
-        # (three products with Gamma and three with Gamma*) captures Gamma:
-        # its draw finds one direction, so its other five products are one
-        # column wide, and no later block is drawn
+        # Gamma S is exactly zero here, but its product through the factor is
+        # roundoff; cut against Gamma's own scale, it has no levels.  One
+        # first block captures Gamma: its draw finds one direction, so its
+        # stacked rows are one column wide, and no later block is drawn.
+        # Gamma S and the phases are read off the factor, so the only other
+        # product is the rank-one identity residual's
         widths = self._apply_widths(monkeypatch)
         fd = hs.forward_extract(hs.HankelMatrix.from_gamma([1.0] + [0.0] * 598, 300))
         np.testing.assert_allclose(fd.lam, [1.0])
         np.testing.assert_array_equal(fd.mu, [0.0])
-        assert widths[:6] == [hs.hankel_core.SKETCH_BLOCK] + [1] * 5
-        assert widths[6:] and max(widths[6:]) == 1
+        assert widths == [hs.hankel_core.SKETCH_BLOCK, 1, 1]
 
     def test_sketch_follows_the_rank(self, monkeypatch):
         # a rank-6 certified truncation: no product of the forward problem is
@@ -268,13 +305,13 @@ class TestMatrixFreeOperator:
 
     def test_later_block_runs_at_the_width_it_finds(self, monkeypatch):
         # rank 9: the first draw of 8 finds 8 directions, so a second block
-        # is drawn; its draw finds the one direction left, and its power
-        # iterations and stacked rows are one column wide
+        # is drawn; its draw finds the one direction left, and its stacked
+        # rows are one column wide
         N = 385
         h = hs.HankelMatrix.from_gamma(_rational_symbol(np.random.default_rng(9), N, 9), N)
         widths = self._apply_widths(monkeypatch)
         assert int(np.count_nonzero(h.singular_values())) == 9
-        assert widths == [8] * 6 + [8] + [1] * 5
+        assert widths == [8, 8, 8, 1]
 
     def test_zero_symbol_has_no_values(self):
         h = hs.HankelMatrix.from_gamma(np.zeros(9), 5)
@@ -383,6 +420,30 @@ class TestForwardExtract:
         fd = hs.forward_extract(h)
         assert calls == [h.N]
         np.testing.assert_allclose(fd.mu, [np.sqrt(2.0), 0.0], atol=1e-8)
+
+    @pytest.mark.parametrize("name", ["rank1_cyclic", "rank1_multiplicity", "rank2_cyclic"])
+    def test_factor_products_match_exact_products(self, monkeypatch, name):
+        # Gamma S and the phases read off the factor Q B agree with the same
+        # extraction run on exact products: Q = I and B the dense Gamma
+        doc = serialize.loads((FIXTURES / f"{name}.json").read_text())
+        h = hs.hankel_from_data(serialize.parse_spectral_data(doc))
+        fd = hs.forward_extract(h)
+        sketch = hs.hankel_core._top_singular_triplets
+
+        def exact(h):
+            svals, V, _, _ = sketch(h)
+            return svals, V, np.eye(h.N), h.entries
+
+        monkeypatch.setattr(hs.hankel_core, "_top_singular_triplets", exact)
+        ref = hs.forward_extract(h)
+        for key in ("lam", "mu", "w", "w1"):
+            np.testing.assert_allclose(getattr(fd, key), getattr(ref, key), rtol=0, atol=1e-10)
+        for got, want in zip(fd.xi + fd.eta, ref.xi + ref.eta, strict=True):
+            if isinstance(want, hs.AtomicMeasure):
+                np.testing.assert_allclose(got.points, want.points, rtol=0, atol=1e-10)
+                np.testing.assert_allclose(got.weights, want.weights, rtol=0, atol=1e-10)
+            elif want is not None:
+                assert abs(got - want) <= 1e-10
 
     def test_cluster_ambiguity(self):
         # singular values 1 and 1 - 5e-7 fall inside the ambiguity band

@@ -232,7 +232,8 @@ class TestCli:
         job = {"schema": "roundtrip_job.v1", "trials": 16, "n_max": 4, "mode": "cyclic"}
         job_path = tmp_path / "job.json"
         job_path.write_text(serialize.dumps(job))
-        bad = cli._trial_data(job, np.random.SeedSequence(5).spawn(16)[3], "cyclic")
+        bad = cli._trial_data(serialize.parse_roundtrip_job(job, "cyclic"),
+                              np.random.SeedSequence(5).spawn(16)[3])
         real = cli.run_roundtrip_trial
 
         def trial(d, **kwargs):
@@ -300,3 +301,20 @@ def test_subcommand_takes_only_the_options_it_reads(command, reads, tmp_path):
                 main(argv + [option, value])
             assert exc.value.code == 2
     assert main(argv) == 4  # accepted, then fails on the missing input
+
+
+def test_reused_parser_keeps_no_options_between_calls(monkeypatch):
+    # the parser is built once per process; options one call sets must not
+    # reach the next call's JobConfig
+    from hankel_spectra import cli
+
+    configs = []
+    monkeypatch.setattr(cli, "run", lambda cfg: configs.append(cfg) or 0)
+    assert main(["roundtrip", "--input", "job.json", "--output", "a.json", "--seed", "5",
+                 "--tol-gap", "1e-4", "--mode", "multiplicity"]) == 0
+    assert main(["analyze", "--input", "hankel.json", "--output", "b.json"]) == 0
+    assert build_parser() is build_parser()
+    first, second = configs
+    assert (first.seed, first.tolerances.cluster_gap, first.mode) == (5, 1e-4, "multiplicity")
+    assert second == cli.JobConfig(command="analyze", input=Path("hankel.json"),
+                                   output=Path("b.json"))
