@@ -7,6 +7,14 @@ dimension ``card supp rho_k`` and carries ``p_k = sqrt(w_k) e_0``, the block
 at ``mu_k`` has dimension ``card supp rho1_k - 1``.  In both constructions
 every matrix except the phase operators is real, so the canonical conjugation
 is entrywise -- its matrix representation is the identity.
+
+Both builders share one closed-form core, :func:`_secular_vectors`.  The
+rank-one identity ``R^2 - R1^2 = p p*`` fixes the eigenvectors of R1 on the
+cyclic subspace: the one for ``mu_k`` is ``(diag(lambda^2) - mu_k^2)^{-1} p``,
+normalized.  With p from :func:`borg_weights` (the Loewner formula for the
+same chain) these columns are orthonormal to working precision
+(Gu-Eisenstat, SIAM J. Matrix Anal. Appl. 1994; Bunch-Nielsen-Sorensen
+1978), so no eigensolver runs on ``R^2 - p p*``.
 """
 
 from __future__ import annotations
@@ -22,7 +30,12 @@ from .errors import (
     SquareRootFailureError,
     SupportNotCyclicError,
 )
-from .spectral_data import AtomicMeasure, CompactSpectralData, borg_weights
+from .spectral_data import (
+    AtomicMeasure,
+    CompactSpectralData,
+    IntertwinedSpectrum,
+    borg_weights,
+)
 
 # Relative tolerances for the structural identities checked on every bundle.
 RANK_ONE_RTOL = 1e-12
@@ -90,7 +103,7 @@ class OperatorBundle:
 
     ``Jp`` stores the conjugation as a matrix ``C`` acting by
     ``x -> C @ conj(x)``; ``C`` is unitary and symmetric, which encodes
-    involutivity.  ``r_norm``, ``r_half``, ``r1_squared_eigh``,
+    involutivity.  ``r_norm``, ``r_half``, ``r1_eigh``,
     ``sigma_hat_star``, ``A`` and the orbit of Sigma* are derived on first
     read, each once per bundle.
     """
@@ -118,13 +131,13 @@ class OperatorBundle:
     @cached_property
     def r_half(self) -> np.ndarray:
         """``R^{1/2}``, read by ``A`` and by the stability report."""
-        return _psd_sqrt(self.R, self.r_norm ** 2)[0]
+        return _psd_sqrt(np.linalg.eigh(self.R), self.r_norm ** 2)
 
     @cached_property
-    def r1_squared_eigh(self):
-        """``eigh(R1 @ R1)``, read by the invariant check and by
-        :func:`level_projections`."""
-        return np.linalg.eigh(self.R1 @ self.R1)
+    def r1_eigh(self):
+        """``eigh(R1)``, read by the invariant check (ker R1), by
+        :func:`level_projections` and by ``A`` (R1^{1/2})."""
+        return np.linalg.eigh(self.R1)
 
     @cached_property
     def sigma_orbit(self) -> Orbit:
@@ -144,8 +157,7 @@ class OperatorBundle:
         A is a contraction intertwined with Sigma* through R^{1/2}:
         ``Sigma* R^{1/2} = R^{1/2} A``.
         """
-        r1_half, _, _ = _psd_sqrt(self.R1, self.r_norm ** 2)
-        Q = r1_half @ np.linalg.inv(self.r_half)
+        Q = _psd_sqrt(self.r1_eigh, self.r_norm ** 2) @ np.linalg.inv(self.r_half)
         return Q.conj().T @ self.phi1 @ Q @ self.phi.conj().T
 
 
@@ -204,43 +216,19 @@ class Orbit:
         return self._X[:, :count]
 
 
-def _psd_sqrt(W: np.ndarray, scale: float):
-    """Eigendecompose a Hermitian PSD matrix and return (sqrt, eigvals, vecs).
+def _psd_sqrt(eig, scale: float) -> np.ndarray:
+    """The square root of a Hermitian PSD matrix from its ``eigh`` pair.
 
     Eigenvalues in ``(-CLAMP_RTOL * scale, 0)`` are clamped to zero; anything
     further below raises, since the matrix was supposed to be PSD.
     """
-    evals, vecs = np.linalg.eigh(W)
+    evals, vecs = eig
     floor = -CLAMP_RTOL * max(scale, 1.0)
     if np.any(evals < floor):
         raise SquareRootFailureError(
             f"eigenvalue {evals.min():.3e} below the PSD clamp {floor:.3e}")
     evals = np.clip(evals, 0.0, None)
-    root = (vecs * np.sqrt(evals)) @ vecs.conj().T
-    return root, evals, vecs
-
-
-def _fix_vector_phases(vecs: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """Rotate eigenvector phases so <p, v> >= 0, falling back to a positive
-    real first nonzero coordinate; keeps eta recovery and phi1 reproducible."""
-    out = vecs.astype(complex)
-    for j in range(vecs.shape[1]):
-        ref = np.vdot(out[:, j], p)  # equals <p, v_j>, linear in p
-        if abs(ref) > 1e-14 * max(1.0, float(np.linalg.norm(p))):
-            out[:, j] *= ref / abs(ref)
-        else:
-            nz = np.flatnonzero(np.abs(out[:, j]) > 1e-14)
-            x = out[nz[0], j] if len(nz) else 1.0
-            out[:, j] *= np.conj(x) / abs(x)
-    return out
-
-
-def _eig_match_tol(lam, mu, scale2: float) -> float:
-    """Tolerance for matching eigenvalues of R1^2 to the squared levels:
-    well below the smallest gap in the interlacing chain."""
-    chain = np.sort(np.concatenate([np.square(lam), np.square(mu)]))
-    min_gap = float(np.min(np.diff(chain))) if len(chain) > 1 else scale2
-    return max(min(1e-6 * scale2, 0.25 * min_gap), 1e-13 * scale2)
+    return (vecs * np.sqrt(evals)) @ vecs.conj().T
 
 
 def assemble_from_operators(R, R1, p, phi, phi1, C, layout: BlockLayout,
@@ -291,8 +279,8 @@ def _validate_bundle(b: OperatorBundle) -> OperatorBundle:
     }
     # phi1 must be isometric exactly on (ker R1)^perp and zero on ker R1.
     g = b.phi1.conj().T @ b.phi1
-    evals, vecs = b.r1_squared_eigh
-    kernel = np.abs(evals) <= CLAMP_RTOL * max(r2, 1.0) * b.dim
+    evals, vecs = b.r1_eigh
+    kernel = evals**2 <= CLAMP_RTOL * max(r2, 1.0) * b.dim
     proj_kernel = vecs[:, kernel] @ vecs[:, kernel].conj().T
     checks["phi1 partial isometry"] = (
         np.linalg.norm(g - (np.eye(b.dim) - proj_kernel)) <= 1e-9)
@@ -307,34 +295,34 @@ def assemble_cyclic(d: CompactSpectralData) -> OperatorBundle:
     return _validate_bundle(_build_cyclic(d))
 
 
+def _secular_vectors(s: IntertwinedSpectrum):
+    """``(p, V)``: the weight vector and the unit eigenvectors of
+    ``diag(lambda^2) - p p*``, column k for the eigenvalue ``mu_k^2``.
+
+    ``V[:, k]`` is ``X[:, k] / |X[:, k]|`` with ``X[i, k] = p_i / (lambda_i^2
+    - mu_k^2)``.  By the secular equation ``X[:, k] . p = 1 > 0``, so every
+    column has a fixed sign.
+    """
+    p = np.sqrt(borg_weights(s).weights)
+    X = p[:, None] / (s.lam2[:, None] - s.mu2[None, :])
+    return p, X / np.linalg.norm(X, axis=0)
+
+
 def _build_cyclic(d: CompactSpectralData) -> OperatorBundle:
     """The tuple for cyclic data in the eigenbasis of R, invariants unchecked.
 
-    R = diag(lambda), p = sqrt(weights), R1 = PSD root of R^2 - p p*,
-    phi = diag(xi), and phi1 carries eta on the eigenvectors of R1 (zero on
-    its kernel when the terminal mu vanishes).
+    R = diag(lambda), p = sqrt(weights), R1 = V diag(mu) V* and
+    phi1 = V diag(eta) V* with V from :func:`_secular_vectors` (phi1 is zero
+    on ker R1 when the terminal mu vanishes), phi = diag(xi).
     """
     if d.mode != "cyclic":
         raise DegenerateSpectrumError(f"expected cyclic data, got mode {d.mode!r}")
     s = d.spectrum
     n = s.n
-    rho = borg_weights(s)
-    p = np.sqrt(rho.weights)
+    p, V = _secular_vectors(s)
     R = np.diag(s.lam).astype(complex)
-    W1 = np.diag(s.lam2) - np.outer(p, p)
-    evals, vecs = np.linalg.eigh(W1)
-    # eigh sorts ascending; level k pairs with the (n-1-k)-th eigenvalue.
-    order = np.argsort(evals)[::-1]
-    vecs = _fix_vector_phases(vecs[:, order], p.astype(complex))
-    mu2_found = evals[order]
-    if np.any(np.abs(mu2_found - s.mu2) > 1e-8 * s.scale2):
-        raise DegenerateSpectrumError("eigenvalues of R^2 - pp* drifted from mu^2")
-    # the eigenvalues of R^2 - pp* are the mu^2 by construction; snapping to
-    # them keeps the spectrum of R1 exact (a roundoff residue would survive
-    # the square root as sqrt(eps), leaving the kernel only approximately zero)
-    R1 = (vecs * s.mu) @ vecs.conj().T
-    eta = np.asarray(d.eta, dtype=complex)
-    phi1 = (vecs * eta) @ vecs.conj().T
+    R1 = (V * s.mu) @ V.T
+    phi1 = (V * np.asarray(d.eta, dtype=complex)) @ V.T
     phi = np.diag(np.asarray(d.xi, dtype=complex))
     layout = BlockLayout(
         lam=tuple(float(v) for v in s.lam),
@@ -363,13 +351,10 @@ def _phase_block(m: AtomicMeasure) -> np.ndarray:
 
 
 def _check_cyclic_support(m: AtomicMeasure, where: str):
+    """Refuse a vanishing atom weight; coincident atoms are already refused
+    by :class:`AtomicMeasure` at the same cut."""
     if np.any(m.weights <= 1e-14):
         raise SupportNotCyclicError(f"{where}: zero atom weight breaks *-cyclicity")
-    scale = max(1.0, float(np.abs(m.points).max()))
-    for i in range(len(m.points)):
-        for j in range(i + 1, len(m.points)):
-            if abs(m.points[i] - m.points[j]) <= 1e-12 * scale:
-                raise SupportNotCyclicError(f"{where}: repeated atom breaks *-cyclicity")
 
 
 def assemble_multiplicity(d: CompactSpectralData) -> OperatorBundle:
@@ -384,7 +369,9 @@ def _build_multiplicity(d: CompactSpectralData) -> OperatorBundle:
     Per level, phi restricted to the lambda_k eigenspace is the unitary with
     spectral measure rho_k w.r.t. the normalized p_k, and identity on the mu
     blocks; phi1 mirrors this with rho1_k on ker(R1 - mu_k I) and identity on
-    the lambda eigenspaces of R1.
+    the lambda eigenspaces of R1.  p lives on ``h0_indices``, so R1 there is
+    the cyclic core ``V diag(mu) V*`` of :func:`_secular_vectors` and equals R
+    elsewhere.
     """
     if d.mode != "multiplicity":
         raise DegenerateSpectrumError(f"expected multiplicity data, got mode {d.mode!r}")
@@ -422,48 +409,29 @@ def _build_multiplicity(d: CompactSpectralData) -> OperatorBundle:
             diag[list(mu_blocks[k])] = s.mu[k]
     R = np.diag(diag).astype(complex)
 
-    rho = borg_weights(s)
+    h0 = list(layout.h0_indices)
+    p_h0, V = _secular_vectors(s)
     p = np.zeros(dim)
-    for k in range(n):
-        p[lam_blocks[k][0]] = np.sqrt(rho.weights[k])
-
-    W1 = np.diag(diag**2) - np.outer(p, p)
-    evals, vecs = np.linalg.eigh(W1)
-    # every eigenvalue of R^2 - pp* is one of the known level values; snap so
-    # the spectrum of R1 is exact and its kernel genuinely vanishes
-    targets = np.concatenate([s.mu2, s.lam2])
-    snapped = targets[np.argmin(np.abs(evals[:, None] - targets[None, :]), axis=1)]
-    if np.any(np.abs(evals - snapped) > _eig_match_tol(s.lam, s.mu, s.scale2)):
-        raise DegenerateSpectrumError("eigenvalues of R^2 - pp* drifted from the levels")
-    evals = snapped
-    R1 = (vecs * np.sqrt(evals)) @ vecs.conj().T
+    p[h0] = p_h0
+    R1 = np.diag(diag)
+    R1[np.ix_(h0, h0)] = (V * s.mu) @ V.T
 
     phi = np.eye(dim, dtype=complex)
     for k in range(n):
         idx = np.asarray(lam_blocks[k])
         phi[np.ix_(idx, idx)] = _phase_block(d.rho[k])
 
-    # ker(R1 - mu_k I) = span{p1_k} + the mu_k block of R; p1_k is the
-    # projection of p onto the mu_k^2 eigenspace of R^2 - pp*.
+    # ker(R1 - mu_k I) = span{p1hat_k} + the mu_k block of R, with p1hat_k
+    # the k-th core column on h0.
     phi1 = np.zeros((dim, dim), dtype=complex)
+    for j in layout.k_indices:
+        phi1[j, j] = 1.0
     for k in range(n):
-        for j in lam_blocks[k][1:]:
-            phi1[j, j] = 1.0
-    tol = _eig_match_tol(s.lam, s.mu, s.scale2)
-    for k in range(n):
-        sel = np.abs(evals - s.mu2[k]) <= tol
-        if not np.any(sel):
-            raise DegenerateSpectrumError(f"missing mu[{k}]^2 eigenvalue in R1^2")
-        basis = vecs[:, sel]
-        p1 = basis @ (basis.conj().T @ p)
-        norm_p1 = float(np.linalg.norm(p1))
-        if norm_p1 <= 1e-12:
-            raise DegenerateSpectrumError(f"projection of p onto level mu[{k}] vanished")
-        p1hat = (p1 / norm_p1).real  # real symmetric W1 has real eigenvectors
         if d.rho1[k] is None:
             continue  # phi1 vanishes on ker R1 at the terminal zero
-        cols = [p1hat] + [np.eye(dim)[:, j] for j in mu_blocks[k]]
-        B = np.column_stack(cols)
+        B = np.zeros((dim, layout.mu_eigdim(k)))
+        B[h0, 0] = V[:, k]
+        B[list(mu_blocks[k]), range(1, B.shape[1])] = 1.0
         phi1 += B @ _phase_block(d.rho1[k]) @ B.T
 
     return assemble_from_operators(R, R1, p, phi, phi1, np.eye(dim), layout, validate=False)
@@ -485,21 +453,24 @@ def level_projections(b: OperatorBundle):
     """Per-level data derived from the bundle: (p_k, p1_k) vectors.
 
     p_k is supported on the k-th lambda block; p1_k is the projection of p
-    onto ker(R1 - mu_k I), read off the bundle's eigendecomposition of R1^2.
+    onto ker(R1 - mu_k I), read off the bundle's ``eigh(R1)`` by position.
+    Sorted descending, R1's eigenvalues come in layout order: lambda_1
+    (``lam_dim(0) - 1`` copies), mu_1 (``mu_eigdim(0)`` copies), lambda_2,
+    and so on, since the chain interlaces strictly.
     """
     lay = b.layout
-    evals, vecs = b.r1_squared_eigh
-    scale2 = max(float(np.max(np.abs(evals))), 1.0)
-    tol = _eig_match_tol(np.asarray(lay.lam), np.asarray(lay.mu), scale2)
+    vecs = b.r1_eigh[1][:, ::-1]
     p_ks = []
     p1_ks = []
+    pos = 0
     for k in range(lay.n_levels):
         pk = np.zeros(b.dim, dtype=complex)
         idx = list(lay.lam_blocks[k])
         pk[idx] = b.p[idx]
         p_ks.append(pk)
-        sel = np.abs(evals - lay.mu[k] ** 2) <= tol
-        basis = vecs[:, sel]
+        pos += lay.lam_dim(k) - 1
+        basis = vecs[:, pos:pos + lay.mu_eigdim(k)]
+        pos += lay.mu_eigdim(k)
         p1_ks.append(basis @ (basis.conj().T @ b.p))
     return p_ks, p1_ks
 

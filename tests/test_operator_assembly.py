@@ -18,6 +18,7 @@ from hankel_spectra.random_data import (
     random_admissible_commutant,
     random_multiplicity_data,
 )
+from hankel_spectra.serialize import emit_bundle, parse_bundle
 
 
 def numerical_phi_derivative(s, x, h=1e-6):
@@ -96,6 +97,16 @@ class TestAssembleMultiplicity:
             expected = -1.0 / numerical_phi_derivative(s, s.mu2[k])
             got = float(np.linalg.norm(p1s[k]) ** 2)
             assert got == pytest.approx(expected, rel=1e-4)
+        # level_projections selects the levels by position in eigh(R1), so a
+        # bundle that did not come from the builder gives the same p1_k: one
+        # re-read from bundle.v1 and one rotated by an admissible gauge
+        psi = random_admissible_commutant(rng, b.layout)
+        rotated = assemble_from_operators(
+            b.R, b.R1, b.p, b.phi @ psi.conj().T, b.phi1 @ psi.conj().T,
+            psi @ b.Jp, b.layout)
+        for other in (parse_bundle(emit_bundle(b)), rotated):
+            for got, want in zip(level_projections(other)[1], p1s):
+                np.testing.assert_allclose(got, want, atol=1e-14)
 
     def test_support_check(self):
         class Stub:
@@ -104,6 +115,16 @@ class TestAssembleMultiplicity:
 
         with pytest.raises(SupportNotCyclicError):
             _check_cyclic_support(Stub(), "stub")
+
+
+class TestEnvelopeSweep:
+    @pytest.mark.parametrize("n", [10, 12])
+    def test_unguarded_multiplicity_draws_assemble(self, n):
+        # multiplicity rank n <= 12 is inside the stated envelope, so every
+        # draw there must assemble, not only those the contraction guard keeps
+        for seed in range(40):
+            d = random_multiplicity_data(np.random.default_rng([seed, n]), n, max_atoms=3)
+            hs.assemble(d)
 
 
 class TestKernelOfR1:
@@ -126,6 +147,21 @@ class TestKernelOfR1:
         assert np.linalg.norm(b.R1 @ x) <= 1e-12
         # and the norm identity behind it: ||R^{-1} p|| = 1
         assert np.linalg.norm(np.linalg.solve(b.R, b.p)) == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("generate", ["random_cyclic_data", "random_multiplicity_data"])
+    def test_phi1_nonzero_on_kernel_rejected(self, generate):
+        # phi1 + eps k k^T with k spanning ker R1 leaves Sigma*, both
+        # commutations and the Jp symmetry as they were; only the partial
+        # isometry check sees the eps^2 it adds to phi1* phi1
+        from hankel_spectra import random_data
+
+        d = getattr(random_data, generate)(np.random.default_rng(61), 4, terminal_zero=True)
+        b = hs.assemble(d)
+        k = np.linalg.solve(b.R @ b.R, b.p)
+        k /= np.linalg.norm(k)
+        phi1 = b.phi1 + 1e-3 * np.outer(k, k)
+        with pytest.raises(BundleInvariantError, match="phi1 partial isometry"):
+            assemble_from_operators(b.R, b.R1, b.p, b.phi, phi1, b.Jp, b.layout)
 
 
 class TestSigmaStar:
