@@ -33,9 +33,7 @@ from .operator_assembly import (
     BlockLayout,
     OperatorBundle,
     assemble,
-    assemble_cyclic,
     assemble_from_operators,
-    assemble_multiplicity,
     conjugation_check,
 )
 from .roundtrip import roundtrip_errors, run_roundtrip_trial
@@ -63,9 +61,7 @@ __all__ = [
     "OperatorBundle",
     "StabilityReport",
     "assemble",
-    "assemble_cyclic",
     "assemble_from_operators",
-    "assemble_multiplicity",
     "borg_weights",
     "cauchy_transform_eval",
     "certified_truncation",

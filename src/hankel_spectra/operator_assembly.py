@@ -1,20 +1,21 @@
 """Build the finite operator tuple (R, R1, p, q, Jp, phi, phi1, Sigma*, A) from spectral data.
 
-The cyclic case lives in the orthonormal basis diagonalizing R, with
-``p = sqrt(a_k)`` from the interlacing weights.  The multiplicity case lays
-out one block per eigenvalue level: the block of ``R`` at ``lambda_k`` has
-dimension ``card supp rho_k`` and carries ``p_k = sqrt(w_k) e_0``, the block
-at ``mu_k`` has dimension ``card supp rho1_k - 1``.  In both constructions
-every matrix except the phase operators is real, so the canonical conjugation
-is entrywise -- its matrix representation is the identity.
+One builder serves all data.  It reads every level's phase data as the atoms
+of a circle probability measure; a cyclic phase is a point mass.  The basis
+diagonalizes R with one block per eigenvalue level: the block of ``R`` at
+``lambda_k`` has dimension ``card supp rho_k`` and carries
+``p_k = sqrt(w_k) e_0``, the block at ``mu_k`` has dimension
+``card supp rho1_k - 1``.  Every matrix except the phase operators is real,
+so the canonical conjugation is entrywise -- its matrix representation is the
+identity.
 
-Both builders share one closed-form core, :func:`_secular_vectors`.  The
-rank-one identity ``R^2 - R1^2 = p p*`` fixes the eigenvectors of R1 on the
-cyclic subspace: the one for ``mu_k`` is ``(diag(lambda^2) - mu_k^2)^{-1} p``,
-normalized.  With p from :func:`borg_weights` (the Loewner formula for the
-same chain) these columns are orthonormal to working precision
-(Gu-Eisenstat, SIAM J. Matrix Anal. Appl. 1994; Bunch-Nielsen-Sorensen
-1978), so no eigensolver runs on ``R^2 - p p*``.
+The rank-one identity ``R^2 - R1^2 = p p*`` fixes the eigenvectors of R1 on
+the cyclic subspace in closed form (:func:`_secular_vectors`): the one for
+``mu_k`` is ``(diag(lambda^2) - mu_k^2)^{-1} p``, normalized.  With p from
+:func:`borg_weights` (the Loewner formula for the same chain) these columns
+are orthonormal to working precision (Gu-Eisenstat, SIAM J. Matrix Anal.
+Appl. 1994; Bunch-Nielsen-Sorensen 1978), so no eigensolver runs on
+``R^2 - p p*``.
 """
 
 from __future__ import annotations
@@ -26,12 +27,10 @@ import numpy as np
 
 from .errors import (
     BundleInvariantError,
-    DegenerateSpectrumError,
     SquareRootFailureError,
     SupportNotCyclicError,
 )
 from .spectral_data import (
-    AtomicMeasure,
     CompactSpectralData,
     IntertwinedSpectrum,
     borg_weights,
@@ -78,16 +77,6 @@ class BlockLayout:
     def h0_indices(self) -> tuple:
         """Basis indices spanning the cyclic subspace of (R, p)."""
         return tuple(b[0] for b in self.lam_blocks)
-
-    @property
-    def k_indices(self) -> tuple:
-        """Indices spanning the lambda eigenspaces of R1 (phi1 acts as I here)."""
-        return tuple(i for b in self.lam_blocks for i in b[1:])
-
-    @property
-    def k1_indices(self) -> tuple:
-        """Indices spanning the mu eigenspaces of R (phi acts as I here)."""
-        return tuple(i for b in self.mu_blocks for i in b)
 
     def lam_dim(self, k: int) -> int:
         return len(self.lam_blocks[k])
@@ -235,7 +224,7 @@ def assemble_from_operators(R, R1, p, phi, phi1, C, layout: BlockLayout,
                             validate: bool = True) -> OperatorBundle:
     """Finish a bundle from its constituent operators and check the invariants.
 
-    Used by both assembly paths and by tests that transform a bundle (change
+    Used by the builder and by tests that transform a bundle (change
     of basis, gauge rotation) and need the derived objects recomputed.
     """
     R = np.asarray(R, dtype=complex)
@@ -278,21 +267,19 @@ def _validate_bundle(b: OperatorBundle) -> OperatorBundle:
             b.phi1.conj().T - b.Jp @ np.conj(b.phi1) @ np.conj(b.Jp)) <= 1e-9 * b.dim,
     }
     # phi1 must be isometric exactly on (ker R1)^perp and zero on ker R1.
+    # ker R1 is ker(R1 - mu_n I) at a terminal zero and trivial otherwise; it
+    # leads the ascending eigh(R1), as level_projections reads it.
     g = b.phi1.conj().T @ b.phi1
-    evals, vecs = b.r1_eigh
-    kernel = evals**2 <= CLAMP_RTOL * max(r2, 1.0) * b.dim
-    proj_kernel = vecs[:, kernel] @ vecs[:, kernel].conj().T
+    lay = b.layout
+    kernel_dim = lay.mu_eigdim(lay.n_levels - 1) if lay.mu[-1] == 0.0 else 0
+    kernel = b.r1_eigh[1][:, :kernel_dim]
+    proj_kernel = kernel @ kernel.conj().T
     checks["phi1 partial isometry"] = (
         np.linalg.norm(g - (np.eye(b.dim) - proj_kernel)) <= 1e-9)
     for name, ok in checks.items():
         if not ok:
             raise BundleInvariantError(f"bundle violates: {name}")
     return b
-
-
-def assemble_cyclic(d: CompactSpectralData) -> OperatorBundle:
-    """Assemble the tuple for cyclic data and check its invariants."""
-    return _validate_bundle(_build_cyclic(d))
 
 
 def _secular_vectors(s: IntertwinedSpectrum):
@@ -308,34 +295,9 @@ def _secular_vectors(s: IntertwinedSpectrum):
     return p, X / np.linalg.norm(X, axis=0)
 
 
-def _build_cyclic(d: CompactSpectralData) -> OperatorBundle:
-    """The tuple for cyclic data in the eigenbasis of R, invariants unchecked.
-
-    R = diag(lambda), p = sqrt(weights), R1 = V diag(mu) V* and
-    phi1 = V diag(eta) V* with V from :func:`_secular_vectors` (phi1 is zero
-    on ker R1 when the terminal mu vanishes), phi = diag(xi).
-    """
-    if d.mode != "cyclic":
-        raise DegenerateSpectrumError(f"expected cyclic data, got mode {d.mode!r}")
-    s = d.spectrum
-    n = s.n
-    p, V = _secular_vectors(s)
-    R = np.diag(s.lam).astype(complex)
-    R1 = (V * s.mu) @ V.T
-    phi1 = (V * np.asarray(d.eta, dtype=complex)) @ V.T
-    phi = np.diag(np.asarray(d.xi, dtype=complex))
-    layout = BlockLayout(
-        lam=tuple(float(v) for v in s.lam),
-        mu=tuple(float(v) for v in s.mu),
-        lam_blocks=tuple((k,) for k in range(n)),
-        mu_blocks=tuple(() for _ in range(n)),
-    )
-    return assemble_from_operators(R, R1, p, phi, phi1, np.eye(n), layout, validate=False)
-
-
-def _measure_frame(m: AtomicMeasure) -> np.ndarray:
+def _measure_frame(weights: np.ndarray) -> np.ndarray:
     """Real orthogonal map sending e_0 to sqrt(weights) of a probability measure."""
-    b = np.sqrt(m.weights / m.weights.sum())
+    b = np.sqrt(weights / weights.sum())
     d = len(b)
     v = b - np.eye(d)[:, 0]
     nv2 = float(v @ v)
@@ -344,104 +306,79 @@ def _measure_frame(m: AtomicMeasure) -> np.ndarray:
     return np.eye(d) - 2.0 * np.outer(v, v) / nv2
 
 
-def _phase_block(m: AtomicMeasure) -> np.ndarray:
-    """Unitary on the level block whose spectral measure w.r.t. e_0 is ``m``."""
-    H = _measure_frame(m)
-    return (H * m.points) @ H.T
-
-
-def _check_cyclic_support(m: AtomicMeasure, where: str):
-    """Refuse a vanishing atom weight; coincident atoms are already refused
-    by :class:`AtomicMeasure` at the same cut."""
-    if np.any(m.weights <= 1e-14):
+def _phase_block(points: np.ndarray, weights: np.ndarray, where: str) -> np.ndarray:
+    """Unitary on a level block whose spectral measure w.r.t. e_0 has these
+    atoms.  A point mass is its own 1 x 1 block, as its frame is ``[[1]]``;
+    a vanishing weight among several atoms breaks *-cyclicity."""
+    if len(points) == 1:
+        return points[None, :]
+    if np.any(weights <= 1e-14):
         raise SupportNotCyclicError(f"{where}: zero atom weight breaks *-cyclicity")
+    H = _measure_frame(weights)
+    return (H * points) @ H.T
 
 
-def assemble_multiplicity(d: CompactSpectralData) -> OperatorBundle:
-    """Assemble the block construction for multiplicity data and check its
-    invariants."""
-    return _validate_bundle(_build_multiplicity(d))
+def _build(d: CompactSpectralData) -> OperatorBundle:
+    """The bundle for ``d``, invariants unchecked.
 
+    Every level is read as atoms (:meth:`CompactSpectralData.level_atoms`);
+    a cyclic phase is a point mass.  The lambda_k block of R has one index
+    per atom of rho_k and carries ``p_k = sqrt(w_k) e_0``; the mu_k block has
+    one index fewer than rho1_k has atoms.  phi is the rho_k phase block on
+    each lambda block and the identity on the mu blocks.
 
-def _build_multiplicity(d: CompactSpectralData) -> OperatorBundle:
-    """The block construction for multiplicity data, invariants unchecked.
-
-    Per level, phi restricted to the lambda_k eigenspace is the unitary with
-    spectral measure rho_k w.r.t. the normalized p_k, and identity on the mu
-    blocks; phi1 mirrors this with rho1_k on ker(R1 - mu_k I) and identity on
-    the lambda eigenspaces of R1.  p lives on ``h0_indices``, so R1 there is
-    the cyclic core ``V diag(mu) V*`` of :func:`_secular_vectors` and equals R
-    elsewhere.
+    R1 and phi1 are written in R1's eigenbasis E taken in level order, the
+    order :func:`level_projections` reads: lambda_k's extra indices, then the
+    core column ``V[:, k]`` of :func:`_secular_vectors` on ``h0_indices``,
+    then the mu_k block.  There ``R1 = E diag(r1) E*`` and
+    ``phi1 = E Phi1 E*``, with Phi1 block diagonal: the identity on the
+    lambda extras, the rho1_k phase block on ker(R1 - mu_k I), and zero on
+    ker R1 at a terminal zero.  For cyclic data E = V and every block is
+    1 x 1, so ``R1 = V diag(mu) V*`` and ``phi1 = V diag(eta) V*``.
     """
-    if d.mode != "multiplicity":
-        raise DegenerateSpectrumError(f"expected multiplicity data, got mode {d.mode!r}")
     s = d.spectrum
-    n = s.n
-    for k, m in enumerate(d.rho):
-        _check_cyclic_support(m, f"rho[{k}]")
-    for k, m in enumerate(d.rho1):
-        if m is not None:
-            _check_cyclic_support(m, f"rho1[{k}]")
-
-    lam_blocks = []
-    mu_blocks = []
-    pos = 0
-    for k in range(n):
-        size = len(d.rho[k].points)
-        lam_blocks.append(tuple(range(pos, pos + size)))
-        pos += size
-    for k in range(n):
-        size = 0 if d.rho1[k] is None else len(d.rho1[k].points) - 1
-        mu_blocks.append(tuple(range(pos, pos + size)))
-        pos += size
-    dim = pos
+    rho, rho1 = d.level_atoms()
+    lam_sizes = [len(points) for points, _ in rho]
+    mu_sizes = [0 if level is None else len(level[0]) - 1 for level in rho1]
+    lam_ends = np.cumsum(lam_sizes)
+    mu_ends = lam_ends[-1] + np.cumsum(mu_sizes)
     layout = BlockLayout(
         lam=tuple(float(v) for v in s.lam),
         mu=tuple(float(v) for v in s.mu),
-        lam_blocks=tuple(lam_blocks),
-        mu_blocks=tuple(mu_blocks),
+        lam_blocks=tuple(tuple(range(e - m, e)) for e, m in zip(lam_ends, lam_sizes)),
+        mu_blocks=tuple(tuple(range(e - m, e)) for e, m in zip(mu_ends, mu_sizes)),
     )
-
-    diag = np.empty(dim)
-    for k in range(n):
-        diag[list(lam_blocks[k])] = s.lam[k]
-        if mu_blocks[k]:
-            diag[list(mu_blocks[k])] = s.mu[k]
-    R = np.diag(diag).astype(complex)
-
+    dim = layout.dim
+    r = np.repeat(np.concatenate([s.lam, s.mu]), lam_sizes + mu_sizes)
     h0 = list(layout.h0_indices)
     p_h0, V = _secular_vectors(s)
     p = np.zeros(dim)
     p[h0] = p_h0
-    R1 = np.diag(diag)
-    R1[np.ix_(h0, h0)] = (V * s.mu) @ V.T
 
+    # Column j of E is e_order[j], except that the core columns hold V on
+    # h0; Phi1's blocks are the contiguous runs of columns per level.
     phi = np.eye(dim, dtype=complex)
-    for k in range(n):
-        idx = np.asarray(lam_blocks[k])
-        phi[np.ix_(idx, idx)] = _phase_block(d.rho[k])
+    Phi1 = np.eye(dim, dtype=complex)
+    order, core = [], []
+    for k, (lam_b, mu_b) in enumerate(zip(layout.lam_blocks, layout.mu_blocks)):
+        block = slice(lam_b[0], lam_b[0] + len(lam_b))
+        phi[block, block] = _phase_block(*rho[k], f"rho[{k}]")
+        order += lam_b[1:]
+        core.append(len(order))
+        order += lam_b[:1] + mu_b
+        block = slice(core[k], len(order))
+        # phi1 vanishes on ker R1 at a terminal zero
+        Phi1[block, block] = 0.0 if rho1[k] is None else _phase_block(*rho1[k], f"rho1[{k}]")
+    E = np.zeros((dim, dim))
+    E[order, range(dim)] = 1.0
+    E[np.ix_(h0, core)] = V
+    r1 = r[order]       # R1 agrees with R off the core columns
+    r1[core] = s.mu
+    R1 = (E * r1) @ E.T
+    phi1 = E @ Phi1 @ E.T
 
-    # ker(R1 - mu_k I) = span{p1hat_k} + the mu_k block of R, with p1hat_k
-    # the k-th core column on h0.
-    phi1 = np.zeros((dim, dim), dtype=complex)
-    for j in layout.k_indices:
-        phi1[j, j] = 1.0
-    for k in range(n):
-        if d.rho1[k] is None:
-            continue  # phi1 vanishes on ker R1 at the terminal zero
-        B = np.zeros((dim, layout.mu_eigdim(k)))
-        B[h0, 0] = V[:, k]
-        B[list(mu_blocks[k]), range(1, B.shape[1])] = 1.0
-        phi1 += B @ _phase_block(d.rho1[k]) @ B.T
-
-    return assemble_from_operators(R, R1, p, phi, phi1, np.eye(dim), layout, validate=False)
-
-
-def _build(d: CompactSpectralData) -> OperatorBundle:
-    """The bundle for ``d``, dispatched on the data mode, invariants unchecked."""
-    if d.mode == "cyclic":
-        return _build_cyclic(d)
-    return _build_multiplicity(d)
+    return assemble_from_operators(np.diag(r), R1, p, phi, phi1, np.eye(dim), layout,
+                                   validate=False)
 
 
 def assemble(d: CompactSpectralData) -> OperatorBundle:

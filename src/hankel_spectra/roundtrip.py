@@ -14,7 +14,6 @@ from .hankel_core import (
     CLUSTER_GAP,
     TAIL_TOL,
     ForwardData,
-    _as_measure,
     forward_extract,
     hankel_from_bundle,
 )
@@ -22,14 +21,25 @@ from .operator_assembly import assemble, level_projections
 from .spectral_data import AtomicMeasure, CompactSpectralData
 
 
-def measure_difference(a: AtomicMeasure, b: AtomicMeasure) -> float:
-    """Max atom-wise discrepancy after canonical ordering; inf on size mismatch."""
-    if len(a.points) != len(b.points):
+def _atoms(v):
+    """A recovered level's phase data as ``(points, weights)``: a unimodular
+    scalar is a point mass."""
+    if isinstance(v, AtomicMeasure):
+        return v.points, v.weights
+    return np.array([complex(v)]), np.ones(1)
+
+
+def atoms_difference(a, b) -> float:
+    """Max atom-wise discrepancy of two ``(points, weights)`` levels after
+    sorting the atoms by angle; inf on size mismatch."""
+    if len(a[0]) != len(b[0]):
         return float("inf")
-    a = a.canonically_sorted()
-    b = b.canonically_sorted()
-    return max(float(np.abs(a.points - b.points).max()),
-               float(np.abs(a.weights - b.weights).max()))
+    ia = np.argsort(np.mod(np.angle(a[0]), 2.0 * np.pi))
+    ib = np.argsort(np.mod(np.angle(b[0]), 2.0 * np.pi))
+    dz = a[0][ia] - b[0][ib]
+    # np.hypot rounds as Python's complex abs does; np.abs can differ by an ulp
+    return max(float(np.hypot(dz.real, dz.imag).max()),
+               float(np.abs(a[1][ia] - b[1][ib]).max()))
 
 
 def roundtrip_errors(d: CompactSpectralData, recovered: ForwardData,
@@ -37,8 +47,8 @@ def roundtrip_errors(d: CompactSpectralData, recovered: ForwardData,
     """Error metrics of a recovery against the generating data.
 
     ``w``/``w1`` are the reference level weights of the generating bundle.
-    Phase errors are absolute differences (unimodular values); measure levels
-    compare atom-wise after canonical ordering.
+    Every level's phase data compares atom-wise after sorting by angle, a
+    unimodular phase as a point mass.
     """
     s = d.spectrum
     scale = float(s.lam[0])
@@ -50,39 +60,14 @@ def roundtrip_errors(d: CompactSpectralData, recovered: ForwardData,
     mu_err = float(np.max(np.abs(recovered.mu - s.mu) / mu_den))
     w_err = float(np.max(np.abs(recovered.w - w) / w))
     w1_err = float(np.max(np.abs(recovered.w1 - w1) / w1))
+    rho, rho1 = d.level_atoms()
     phase_err = 0.0
-    if d.mode == "cyclic":
-        for k in range(s.n):
-            got = recovered.xi[k]
-            if isinstance(got, AtomicMeasure):
-                phase_err = max(phase_err, measure_difference(
-                    got, _as_measure(d.xi[k])))
-            else:
-                phase_err = max(phase_err, abs(got - d.xi[k]))
-        for k in range(s.n):
-            if s.has_terminal_zero and k == s.n - 1:
-                if recovered.eta[k] is not None:
-                    phase_err = float("inf")
-                continue
-            got = recovered.eta[k]
-            if got is None:
+    for expected, got in zip(rho + rho1, (*recovered.xi, *recovered.eta)):
+        if expected is None or got is None:
+            if (expected is None) != (got is None):
                 phase_err = float("inf")
-            elif isinstance(got, AtomicMeasure):
-                phase_err = max(phase_err, measure_difference(got, _as_measure(d.eta[k])))
-            else:
-                phase_err = max(phase_err, abs(got - d.eta[k]))
-    else:
-        for k in range(s.n):
-            phase_err = max(phase_err, measure_difference(
-                _as_measure(recovered.xi[k]), d.rho[k]))
-        for k in range(s.n):
-            expected = d.rho1[k]
-            got = recovered.eta[k]
-            if expected is None or got is None:
-                if (expected is None) != (got is None):
-                    phase_err = float("inf")
-                continue
-            phase_err = max(phase_err, measure_difference(_as_measure(got), expected))
+            continue
+        phase_err = max(phase_err, atoms_difference(_atoms(got), expected))
     return {"lam": lam_err, "mu": mu_err,
             "weights": max(w_err, w1_err), "phases": phase_err}
 

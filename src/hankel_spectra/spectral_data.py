@@ -231,6 +231,20 @@ class CompactSpectralData:
                 raise DegenerateMeasureError(f"rho1[{k}] must be a circle probability measure")
         return cls(spectrum=spectrum, mode="multiplicity", rho=rho, rho1=tuple(rho1))
 
+    def level_atoms(self):
+        """``(rho, rho1)``: each level's phase data as ``(points, weights)``
+        arrays, ``None`` where rho1 is absent (at a terminal zero).  A cyclic
+        phase is a point mass of weight 1."""
+        if self.mode == "multiplicity":
+            return ([(m.points, m.weights) for m in self.rho],
+                    [None if m is None else (m.points, m.weights) for m in self.rho1])
+        one = np.ones(1)
+        rho = [(z, one) for z in np.array(self.xi)[:, None]]
+        rho1 = [(z, one) for z in np.array(self.eta)[:, None]]
+        if self.spectrum.has_terminal_zero:
+            rho1[-1] = None
+        return rho, rho1
+
 
 def borg_weights(s: IntertwinedSpectrum) -> AtomicMeasure:
     """Weights of the spectral measure ``rho = sum a_n delta_{lambda_n^2}``.

@@ -36,5 +36,5 @@ def bundle_corpus():
     for n in (1, 2, 3):
         bundles.append(hs.assemble(random_multiplicity_data(rng, n, max_atoms=3)))
     s = hs.validate_intertwining([2.0, 1.0], [float(np.sqrt(2.0)), 0.0])
-    bundles.append(hs.assemble_cyclic(hs.CompactSpectralData.cyclic(s, [1j, -1.0], [np.exp(0.3j), 0.0])))
+    bundles.append(hs.assemble(hs.CompactSpectralData.cyclic(s, [1j, -1.0], [np.exp(0.3j), 0.0])))
     return bundles

@@ -141,7 +141,7 @@ class TestGpConvert:
         s = hs.validate_intertwining([2.0, 1.0], [np.sqrt(2.0), 0.0])
         d = hs.CompactSpectralData.multiplicity(s, rho, rho1)
         b = hs.assemble(d)
-        cyc = hs.assemble_cyclic(hs.CompactSpectralData.cyclic(s, [1.0, 1.0], [1.0, 0.0]))
+        cyc = hs.assemble(hs.CompactSpectralData.cyclic(s, [1.0, 1.0], [1.0, 0.0]))
         np.testing.assert_allclose(
             hs.gamma_sequence(b, 30), hs.gamma_sequence(cyc, 30), atol=1e-12)
 

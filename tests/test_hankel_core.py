@@ -23,7 +23,7 @@ FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 class TestGammaSequence:
     def test_rank1(self, rank1_data):
-        b = hs.assemble_cyclic(rank1_data)
+        b = hs.assemble(rank1_data)
         g = hs.gamma_sequence(b, 5)
         np.testing.assert_allclose(g, [1, 0, 0, 0, 0, 0], atol=1e-15)
 
@@ -31,14 +31,14 @@ class TestGammaSequence:
         s = hs.validate_intertwining([1.0], [0.0])
         theta = 0.77
         d = hs.CompactSpectralData.cyclic(s, [np.exp(1j * theta)], [0.0])
-        g = hs.gamma_sequence(hs.assemble_cyclic(d), 3)
+        g = hs.gamma_sequence(hs.assemble(d), 3)
         assert g[0] == pytest.approx(np.exp(1j * theta))
         np.testing.assert_allclose(g[1:], 0, atol=1e-15)
 
     def test_rank2_gamma0_oracle(self, rank2_data):
         # inner-product oracle in the diagonal representation:
         # gamma_0 = <q, p> = sum_k a_k xi_k / lam_k = (8/3)/2 + (1/3)/1
-        b = hs.assemble_cyclic(rank2_data)
+        b = hs.assemble(rank2_data)
         assert hs.gamma_sequence(b, 0)[0] == pytest.approx(5.0 / 3.0)
 
     def test_gamma_matches_diagonal_sum(self):
@@ -157,7 +157,7 @@ class TestSymbolCrossCheck:
         from hankel_spectra.errors import InternalConsistencyError
         from hankel_spectra.operator_assembly import assemble_from_operators
 
-        b = hs.assemble_cyclic(rank2_data)
+        b = hs.assemble(rank2_data)
         bad_conjugation = np.diag(np.exp(1j * np.array([0.4, 1.3])))
         broken = assemble_from_operators(
             b.R, b.R1, b.p, b.phi, b.phi1, bad_conjugation, b.layout,
@@ -491,7 +491,7 @@ class TestIsometrySurrogate:
             assert abs(lhs - rhs) <= 1e-10 * max(1.0, np.linalg.norm(x) ** 2)
 
     def test_isometry_at_certified_tail(self, rank2_data):
-        b = hs.assemble_cyclic(rank2_data)
+        b = hs.assemble(rank2_data)
         K = hs.certified_truncation(b)
         rng = np.random.default_rng(13)
         x = rng.standard_normal(b.dim) + 1j * rng.standard_normal(b.dim)

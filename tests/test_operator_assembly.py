@@ -9,7 +9,6 @@ from hankel_spectra.errors import (
 )
 from hankel_spectra.operator_assembly import (
     Orbit,
-    _check_cyclic_support,
     assemble_from_operators,
     level_projections,
     orbit,
@@ -29,7 +28,7 @@ def numerical_phi_derivative(s, x, h=1e-6):
 
 class TestAssembleCyclic:
     def test_rank1_values(self, rank1_data):
-        b = hs.assemble_cyclic(rank1_data)
+        b = hs.assemble(rank1_data)
         np.testing.assert_allclose(b.R, [[1.0]])
         np.testing.assert_allclose(b.p, [1.0])
         np.testing.assert_allclose(b.R1, [[0.0]], atol=1e-14)
@@ -38,7 +37,7 @@ class TestAssembleCyclic:
         np.testing.assert_allclose(b.q, [1.0])
 
     def test_rank2_p_and_r1(self, rank2_data):
-        b = hs.assemble_cyclic(rank2_data)
+        b = hs.assemble(rank2_data)
         np.testing.assert_allclose(b.p, np.sqrt([8.0 / 3.0, 1.0 / 3.0]), rtol=1e-14)
         evals = np.sort(np.linalg.eigvalsh(b.R1 @ b.R1).real)[::-1]
         np.testing.assert_allclose(evals, [2.0, 0.0], atol=1e-12)
@@ -48,10 +47,6 @@ class TestAssembleCyclic:
             res = np.linalg.norm(b.R @ b.R - b.R1 @ b.R1 - np.outer(b.p, np.conj(b.p)))
             assert res <= 1e-12 * b.r_norm**2
 
-    def test_wrong_mode_rejected(self, rank1_data):
-        with pytest.raises(Exception):
-            hs.assemble_multiplicity(rank1_data)
-
     def test_non_unimodular_phase_rejected(self, rank2_spectrum):
         with pytest.raises(NonUnimodularPhaseError):
             hs.CompactSpectralData.cyclic(rank2_spectrum, [1.0, 0.5], [1.0, 0.0])
@@ -59,26 +54,31 @@ class TestAssembleCyclic:
 
 class TestAssembleMultiplicity:
     def test_delta_measures_reduce_to_cyclic(self, rank2_spectrum):
+        # cyclic data are the point-mass case of multiplicity data, so both
+        # forms give the same bundle, bit for bit
+        from hankel_spectra.random_data import random_cyclic_data
+
         xi = np.exp(2j * np.pi * np.array([0.13, 0.71]))
         eta = np.array([np.exp(0.4j), 0.0])
-        cyc = hs.assemble_cyclic(hs.CompactSpectralData.cyclic(rank2_spectrum, xi, eta))
+        cases = [hs.CompactSpectralData.cyclic(rank2_spectrum, xi, eta)]
+        rng = np.random.default_rng(11)
+        cases += [random_cyclic_data(rng, n) for n in range(3, 9)]
         to_measure = lambda v: hs.AtomicMeasure([v], [1.0], circle=True, probability=True)
-        mult = hs.assemble_multiplicity(hs.CompactSpectralData.multiplicity(
-            rank2_spectrum, [to_measure(x) for x in xi], [to_measure(eta[0]), None]))
-        for name in ("R", "R1", "phi", "phi1", "sigma_star", "A"):
-            sv_c = np.linalg.svd(getattr(cyc, name), compute_uv=False)
-            sv_m = np.linalg.svd(getattr(mult, name), compute_uv=False)
-            np.testing.assert_allclose(sv_c, sv_m, atol=1e-12)
-        g_c = hs.gamma_sequence(cyc, 40)
-        g_m = hs.gamma_sequence(mult, 40)
-        np.testing.assert_allclose(g_c, g_m, atol=1e-12)
+        for d in cases:
+            s = d.spectrum
+            rho1 = [None if v == 0 else to_measure(v) for v in d.eta]
+            cyc = hs.assemble(d)
+            mult = hs.assemble(hs.CompactSpectralData.multiplicity(
+                s, [to_measure(v) for v in d.xi], rho1))
+            for name in ("R", "R1", "p", "q", "phi", "phi1", "sigma_star", "A"):
+                assert np.array_equal(getattr(cyc, name), getattr(mult, name)), (s.n, name)
 
     def test_two_atom_level(self):
         # lam=[1], mu=[0], two-atom level measure: dim 2, phi eigenvalues {1,-1}
         s = hs.validate_intertwining([1.0], [0.0])
         rho = [hs.AtomicMeasure([1.0 + 0j, -1.0 + 0j], [0.5, 0.5],
                                 circle=True, probability=True)]
-        b = hs.assemble_multiplicity(hs.CompactSpectralData.multiplicity(s, rho, [None]))
+        b = hs.assemble(hs.CompactSpectralData.multiplicity(s, rho, [None]))
         assert b.dim == 2
         np.testing.assert_allclose(np.sort(np.linalg.eigvals(b.phi).real), [-1.0, 1.0],
                                    atol=1e-14)
@@ -109,20 +109,22 @@ class TestAssembleMultiplicity:
                 np.testing.assert_allclose(got, want, atol=1e-14)
 
     def test_support_check(self):
-        class Stub:
-            points = np.array([1.0 + 0j, -1.0 + 0j])
-            weights = np.array([1.0, 0.0])
-
-        with pytest.raises(SupportNotCyclicError):
-            _check_cyclic_support(Stub(), "stub")
+        # a vanishing atom weight breaks *-cyclicity of the level block
+        s = hs.validate_intertwining([1.0], [0.0])
+        rho = [hs.AtomicMeasure([1.0 + 0j, -1.0 + 0j], [1.0 - 1e-15, 1e-15],
+                                circle=True, probability=True)]
+        with pytest.raises(SupportNotCyclicError, match=r"rho\[0\]"):
+            hs.assemble(hs.CompactSpectralData.multiplicity(s, rho, [None]))
 
 
 class TestEnvelopeSweep:
-    @pytest.mark.parametrize("n", [10, 12])
+    @pytest.mark.parametrize("n", [10, 12, 16])
     def test_unguarded_multiplicity_draws_assemble(self, n):
-        # multiplicity rank n <= 12 is inside the stated envelope, so every
-        # draw there must assemble, not only those the contraction guard keeps
-        for seed in range(40):
+        # every draw must assemble, not only those the contraction guard
+        # keeps: at multiplicity rank n <= 12, inside the stated envelope, and
+        # at n = 16, where a positive terminal mu falls to about 5e-6 and must
+        # not be taken for ker R1
+        for seed in range(200):
             d = random_multiplicity_data(np.random.default_rng([seed, n]), n, max_atoms=3)
             hs.assemble(d)
 
@@ -132,8 +134,8 @@ class TestKernelOfR1:
         # R1 is singular exactly when the terminal mu vanishes
         s0 = hs.validate_intertwining([2.0, 1.0], [1.4, 0.0])
         s1 = hs.validate_intertwining([2.0, 1.0], [1.4, 0.6])
-        b0 = hs.assemble_cyclic(hs.CompactSpectralData.cyclic(s0, [1, 1], [1, 0]))
-        b1 = hs.assemble_cyclic(hs.CompactSpectralData.cyclic(s1, [1, 1], [1, 1]))
+        b0 = hs.assemble(hs.CompactSpectralData.cyclic(s0, [1, 1], [1, 0]))
+        b1 = hs.assemble(hs.CompactSpectralData.cyclic(s1, [1, 1], [1, 1]))
         sv0 = np.linalg.svd(b0.R1, compute_uv=False)
         sv1 = np.linalg.svd(b1.R1, compute_uv=False)
         assert sv0.min() <= 1e-10
@@ -142,7 +144,7 @@ class TestKernelOfR1:
     def test_kernel_vector_is_scaled_inverse_square(self):
         # the kernel of R1 is spanned by R^{-2} p
         s = hs.validate_intertwining([2.0, 1.0], [1.4, 0.0])
-        b = hs.assemble_cyclic(hs.CompactSpectralData.cyclic(s, [1, 1], [1, 0]))
+        b = hs.assemble(hs.CompactSpectralData.cyclic(s, [1, 1], [1, 0]))
         x = np.linalg.solve(b.R @ b.R, b.p)
         assert np.linalg.norm(b.R1 @ x) <= 1e-12
         # and the norm identity behind it: ||R^{-1} p|| = 1
@@ -166,7 +168,7 @@ class TestKernelOfR1:
 
 class TestSigmaStar:
     def test_rank1_is_zero(self, rank1_data):
-        b = hs.assemble_cyclic(rank1_data)
+        b = hs.assemble(rank1_data)
         np.testing.assert_allclose(b.sigma_star, [[0.0]], atol=1e-14)
 
     def test_defect_identity(self, bundle_corpus):
@@ -188,7 +190,7 @@ class TestSigmaStar:
 
 class TestStabilityOperator:
     def test_rank1_is_zero(self, rank1_data):
-        b = hs.assemble_cyclic(rank1_data)
+        b = hs.assemble(rank1_data)
         np.testing.assert_allclose(b.A, [[0.0]], atol=1e-14)
 
     def test_intertwining(self, bundle_corpus):
@@ -221,12 +223,12 @@ class TestStabilityOperator:
 
 class TestConjugation:
     def test_rank1_residuals_zero(self, rank1_data):
-        report = hs.conjugation_check(hs.assemble_cyclic(rank1_data))
+        report = hs.conjugation_check(hs.assemble(rank1_data))
         assert max(report.values()) <= 1e-14
 
     def test_complex_phases(self, rank2_spectrum):
         d = hs.CompactSpectralData.cyclic(rank2_spectrum, [1j, -1.0], [np.exp(0.3j), 0.0])
-        report = hs.conjugation_check(hs.assemble_cyclic(d))
+        report = hs.conjugation_check(hs.assemble(d))
         assert max(report.values()) <= 1e-12
 
     def test_inner_product_flip_on_multiplicity(self):

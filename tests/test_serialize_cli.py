@@ -51,7 +51,7 @@ class TestSchemas:
         assert serialize.emit_hankel(back) == doc
 
     def test_bundle_roundtrip(self, rank2_data):
-        b = hs.assemble_cyclic(rank2_data)
+        b = hs.assemble(rank2_data)
         doc = serialize.emit_bundle(b)
         back = serialize.parse_bundle(doc)
         np.testing.assert_allclose(back.sigma_star, b.sigma_star, atol=1e-14)
@@ -194,7 +194,7 @@ class TestCli:
         assert (out / "decay_profile.csv").read_text().startswith("k,norm")
 
     def test_stability_accepts_bundle_doc(self, tmp_path, rank2_data):
-        b = hs.assemble_cyclic(rank2_data)
+        b = hs.assemble(rank2_data)
         path = tmp_path / "bundle.json"
         path.write_text(serialize.dumps(serialize.emit_bundle(b)))
         rc = main(["stability", "--input", str(path), "--output", str(tmp_path / "out")])

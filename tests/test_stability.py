@@ -8,7 +8,7 @@ from hankel_spectra.random_data import random_multiplicity_data
 
 class TestStabilityReport:
     def test_rank1(self, rank1_data):
-        b = hs.assemble_cyclic(rank1_data)
+        b = hs.assemble(rank1_data)
         report = hs.stability_report(b, K=5)
         assert report.spectral_radius_sigma <= 1e-14
         np.testing.assert_allclose(report.decay_profile, [1, 0, 0, 0, 0, 0], atol=1e-14)
@@ -16,7 +16,7 @@ class TestStabilityReport:
 
     def test_rank2_profile_decays(self):
         s = hs.validate_intertwining([2.0, 1.0], [1.2, 0.0])
-        b = hs.assemble_cyclic(hs.CompactSpectralData.cyclic(s, [1.0, -1.0], [1.0, 0.0]))
+        b = hs.assemble(hs.CompactSpectralData.cyclic(s, [1.0, -1.0], [1.0, 0.0]))
         report = hs.stability_report(b, K=200)
         assert report.decay_profile[-1] <= 1e-6
         diffs = np.diff(report.decay_profile)
@@ -47,13 +47,7 @@ def tampered_bundle(seed=61):
     # phase block built from a weight vector with a vanished atom
     weights = np.zeros(dsz)
     weights[: dsz - 1] = 1.0 / (dsz - 1)
-
-    class Stub:
-        pass
-
-    stub = Stub()
-    stub.weights = weights
-    frame = _measure_frame(stub)
+    frame = _measure_frame(weights)
     atoms = np.exp(2j * np.pi * (np.arange(dsz) + 0.31) / dsz)
     phi = np.array(b.phi)
     phi[np.ix_(block, block)] = (frame * atoms) @ frame.T
