@@ -43,7 +43,6 @@ class JobConfig:
     truncation: int | str = "auto"
     tolerances: Tolerances = field(default_factory=Tolerances)
     seed: int = 0
-    mode: str = "cyclic"
 
     def __post_init__(self):
         if self.truncation != "auto":
@@ -103,7 +102,7 @@ def _cmd_roundtrip(cfg: JobConfig) -> int:
     keys = ("lam", "mu", "weights", "phases")
     if doc.get("schema") == "roundtrip_job.v1":
         # checked before the first trial: a trial's refusal is reported, a bad job exits 2
-        job = serialize.parse_roundtrip_job(doc, cfg.mode)
+        job = serialize.parse_roundtrip_job(doc)
         results = []
         for i, seed_seq in enumerate(np.random.SeedSequence(cfg.seed).spawn(job["trials"])):
             try:
@@ -209,8 +208,6 @@ _OPTIONS = {
                       help=f"relative singular-value cluster gap (default {CLUSTER_GAP:g})"),
     "--tol-tail": dict(type=float, dest="cert_tail",
                        help=f"certified truncation tail bound (default {TAIL_TOL:g})"),
-    "--mode": dict(choices=("cyclic", "multiplicity"),
-                   help="trial mode of a job that names none (default cyclic)"),
 }
 
 
@@ -227,7 +224,7 @@ def build_parser() -> argparse.ArgumentParser:
          ("--truncation", "--tol-tail")),
         ("analyze", "hankel.v1 -> recovered spectral data", False, ("--tol-gap",)),
         ("roundtrip", "data or trial job -> max-error report", False,
-         ("--truncation", "--seed", "--tol-gap", "--tol-tail", "--mode")),
+         ("--truncation", "--seed", "--tol-gap", "--tol-tail")),
         ("convert-clark", "blaschke levels <-> circle measure levels", False, ()),
         ("stability", "spectral data or bundle.v1 -> stability diagnostics", True, ()),
     ):

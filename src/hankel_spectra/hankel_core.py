@@ -7,8 +7,8 @@ direction captures the truncation as a factor Gamma = Q B with a one-pass
 randomized range finder that applies Gamma by FFT from the symbol, reads
 Gamma S and the phase products off that factor, classifies the merged
 singular values into lambda and mu levels by multiplicity difference, and
-recovers weights and per-level phases (or circle measures) from the action
-of the conjugated operator on the level eigenspaces.
+recovers weights and per-level circle measures (a point mass on a simple
+level) from the action of the conjugated operator on the level eigenspaces.
 """
 
 from __future__ import annotations
@@ -73,8 +73,9 @@ class HankelMatrix:
     """The N x N truncation (gamma_{j+k}) of a Hankel operator, held as its
     2N - 1 symbol coefficients.
 
-    Gamma, Gamma*, Gamma S and (Gamma S)* act through :meth:`apply` by FFT;
-    the dense ``entries`` are derived only on request.
+    Gamma and Gamma* act through :meth:`apply` by FFT; Gamma S acts through
+    the factor the range finder captures.  The dense ``entries`` and
+    ``shifted()`` are derived only on request.
     """
 
     gamma: np.ndarray
@@ -130,22 +131,18 @@ class HankelMatrix:
     def _gamma_hat(self) -> np.ndarray:
         return np.fft.fft(self.gamma, _fft_length(2 * self.N - 1))
 
-    def apply(self, x, shifted: bool = False, adjoint: bool = False) -> np.ndarray:
-        """Gamma x, Gamma* x, (Gamma S) x or (Gamma S)* x for a vector or an
-        N x k block, in O(N log N) time per column.
+    def apply(self, x, adjoint: bool = False) -> np.ndarray:
+        """Gamma x or Gamma* x for a vector or an N x k block, in O(N log N)
+        time per column.
 
         (Gamma x)_j = sum_k gamma_{j+k} x_k is entry N - 1 + j of the linear
         convolution of gamma with x reversed, which a circular convolution of
-        length >= 2N - 1 holds without wrap-around.  Gamma S is Gamma applied
-        to the down-shifted input, whose reversal is x_0..x_{N-2} reversed.
-        Gamma is complex symmetric, so Gamma* x = conj(Gamma conj x), and
-        (Gamma S)* = S* Gamma* drops the first entry of Gamma* x.  A block is
-        transformed column by column, each column laid out as a contiguous row.
+        length >= 2N - 1 holds without wrap-around.  Gamma is complex
+        symmetric, so Gamma* x = conj(Gamma conj x).  A block is transformed
+        column by column, each column laid out as a contiguous row.
         """
         x = np.asarray(x, dtype=complex).T
         N = self.N
-        if shifted and not adjoint:
-            x = x[..., : N - 1]
         spec = self._gamma_hat
         rows = np.zeros(x.shape[:-1] + spec.shape, dtype=complex)
         rows[..., : x.shape[-1]] = x[..., ::-1]
@@ -154,11 +151,7 @@ class HankelMatrix:
         rows = np.fft.fft(rows, axis=-1)
         rows *= spec
         y = np.fft.ifft(rows, axis=-1)[..., N - 1: 2 * N - 1]
-        if adjoint:
-            y = y.conj()
-            if shifted:
-                y = np.concatenate([y[..., 1:], np.zeros_like(y[..., :1])], axis=-1)
-        return y.T
+        return (y.conj() if adjoint else y).T
 
     def singular_values(self) -> np.ndarray:
         """All N singular values, descending: those above ZERO_CUT_RTOL * sigma_1
@@ -393,40 +386,22 @@ def _unitary_spectral_measure(U: np.ndarray, residuals: dict) -> AtomicMeasure:
     return AtomicMeasure(points=atoms, weights=weights, circle=True, probability=True)
 
 
-def _as_measure(v) -> AtomicMeasure:
-    """A level's phase data as a circle measure: a unimodular scalar becomes
-    its point mass, a measure is returned as it is."""
-    if isinstance(v, AtomicMeasure):
-        return v
-    return AtomicMeasure(points=[complex(v)], weights=[1.0], circle=True, probability=True)
-
-
 @dataclass(frozen=True, eq=False)
 class ForwardData:
     """Spectral data recovered from a truncated Hankel matrix.
 
-    ``xi[k]`` is a unimodular scalar for a simple level and a circle
-    probability measure otherwise; ``eta`` mirrors this for the mu levels and
-    is ``None`` at a terminal mu = 0.
+    ``rho[k]`` and ``rho1[k]`` are the circle probability measures of the
+    polar factors on the lambda_k and mu_k levels, a point mass on a simple
+    level; ``rho1[k]`` is ``None`` at a terminal mu = 0.
     """
 
     lam: np.ndarray
     mu: np.ndarray
     w: np.ndarray
     w1: np.ndarray
-    xi: tuple
-    eta: tuple
-    mode: str
+    rho: tuple
+    rho1: tuple
     residuals: dict = field(default_factory=dict)
-
-    def to_spectral_data(self) -> CompactSpectralData:
-        spectrum = validate_intertwining(self.lam, self.mu)
-        if self.mode == "cyclic":
-            eta = [e if e is not None else 0j for e in self.eta]
-            return CompactSpectralData.cyclic(spectrum, self.xi, eta)
-        rho = [_as_measure(v) for v in self.xi]
-        rho1 = [None if v is None else _as_measure(v) for v in self.eta]
-        return CompactSpectralData.multiplicity(spectrum, rho, rho1)
 
 
 def forward_extract(h: HankelMatrix, cluster_gap: float = CLUSTER_GAP) -> ForwardData:
@@ -509,8 +484,9 @@ def forward_extract(h: HankelMatrix, cluster_gap: float = CLUSTER_GAP) -> Forwar
         return Q @ (B[:, 1:] @ x[:-1] if shifted else B @ x)
 
     def phase_of(level, shifted):
-        """Scalar phase or circle measure of the polar factor of Gamma
-        (Gamma S when ``shifted``) on one level."""
+        """Circle measure of the polar factor of Gamma (Gamma S when
+        ``shifted``) on one level: on a simple level the point mass of its
+        phase, found in closed form."""
         s = level["value"]
         uk = level["u_proj"]
         uhat = uk / np.linalg.norm(uk)
@@ -518,7 +494,7 @@ def forward_extract(h: HankelMatrix, cluster_gap: float = CLUSTER_GAP) -> Forwar
             val = complex(np.vdot(uhat, np.conj(product(uhat, shifted)) / s))
             residuals["phase_modulus"] = max(
                 residuals.get("phase_modulus", 0.0), abs(abs(val) - 1.0))
-            return val / abs(val)
+            return AtomicMeasure.point_mass(val / abs(val))
         Y = _orthogonal_complement_in_level(level["basis"], uk)
         JY = np.conj(product(Y, not shifted)) / s
         W = np.column_stack([uhat, Y])
@@ -526,9 +502,6 @@ def forward_extract(h: HankelMatrix, cluster_gap: float = CLUSTER_GAP) -> Forwar
         U = W.conj().T @ (np.conj(product(JW, shifted)) / s)
         return _unitary_spectral_measure(U, residuals)
 
-    xi = tuple(phase_of(lv, False) for lv in lam_levels)
-    eta = tuple(phase_of(lv, True) for lv in mu_levels) + ((None,) if terminal_zero else ())
-    mode = "cyclic" if all(not isinstance(v, AtomicMeasure) for v in xi) and all(
-        e is None or not isinstance(e, AtomicMeasure) for e in eta) else "multiplicity"
-    return ForwardData(lam=lam, mu=mu, w=w, w1=w1, xi=xi, eta=eta, mode=mode,
-                       residuals=residuals)
+    rho = tuple(phase_of(lv, False) for lv in lam_levels)
+    rho1 = tuple(phase_of(lv, True) for lv in mu_levels) + ((None,) if terminal_zero else ())
+    return ForwardData(lam=lam, mu=mu, w=w, w1=w1, rho=rho, rho1=rho1, residuals=residuals)

@@ -31,6 +31,7 @@ from .errors import (
     SupportNotCyclicError,
 )
 from .spectral_data import (
+    AtomicMeasure,
     CompactSpectralData,
     IntertwinedSpectrum,
     borg_weights,
@@ -306,26 +307,26 @@ def _measure_frame(weights: np.ndarray) -> np.ndarray:
     return np.eye(d) - 2.0 * np.outer(v, v) / nv2
 
 
-def _phase_block(points: np.ndarray, weights: np.ndarray, where: str) -> np.ndarray:
-    """Unitary on a level block whose spectral measure w.r.t. e_0 has these
-    atoms.  A point mass is its own 1 x 1 block, as its frame is ``[[1]]``;
-    a vanishing weight among several atoms breaks *-cyclicity."""
-    if len(points) == 1:
-        return points[None, :]
-    if np.any(weights <= 1e-14):
+def _phase_block(m: AtomicMeasure, where: str) -> np.ndarray:
+    """Unitary on a level block whose spectral measure w.r.t. e_0 is ``m``.
+    A point mass is its own 1 x 1 block, as its frame is ``[[1]]``; a
+    vanishing weight among several atoms breaks *-cyclicity."""
+    if len(m.points) == 1:
+        return m.points[None, :]
+    if np.any(m.weights <= 1e-14):
         raise SupportNotCyclicError(f"{where}: zero atom weight breaks *-cyclicity")
-    H = _measure_frame(weights)
-    return (H * points) @ H.T
+    H = _measure_frame(m.weights)
+    return (H * m.points) @ H.T
 
 
 def _build(d: CompactSpectralData) -> OperatorBundle:
     """The bundle for ``d``, invariants unchecked.
 
-    Every level is read as atoms (:meth:`CompactSpectralData.level_atoms`);
-    a cyclic phase is a point mass.  The lambda_k block of R has one index
-    per atom of rho_k and carries ``p_k = sqrt(w_k) e_0``; the mu_k block has
-    one index fewer than rho1_k has atoms.  phi is the rho_k phase block on
-    each lambda block and the identity on the mu blocks.
+    Every level is read as the atoms of its measure; a cyclic phase is a
+    point mass.  The lambda_k block of R has one index per atom of rho_k and
+    carries ``p_k = sqrt(w_k) e_0``; the mu_k block has one index fewer than
+    rho1_k has atoms.  phi is the rho_k phase block on each lambda block and
+    the identity on the mu blocks.
 
     R1 and phi1 are written in R1's eigenbasis E taken in level order, the
     order :func:`level_projections` reads: lambda_k's extra indices, then the
@@ -337,9 +338,8 @@ def _build(d: CompactSpectralData) -> OperatorBundle:
     1 x 1, so ``R1 = V diag(mu) V*`` and ``phi1 = V diag(eta) V*``.
     """
     s = d.spectrum
-    rho, rho1 = d.level_atoms()
-    lam_sizes = [len(points) for points, _ in rho]
-    mu_sizes = [0 if level is None else len(level[0]) - 1 for level in rho1]
+    lam_sizes = [len(m.points) for m in d.rho]
+    mu_sizes = [0 if m is None else len(m.points) - 1 for m in d.rho1]
     lam_ends = np.cumsum(lam_sizes)
     mu_ends = lam_ends[-1] + np.cumsum(mu_sizes)
     layout = BlockLayout(
@@ -362,13 +362,13 @@ def _build(d: CompactSpectralData) -> OperatorBundle:
     order, core = [], []
     for k, (lam_b, mu_b) in enumerate(zip(layout.lam_blocks, layout.mu_blocks)):
         block = slice(lam_b[0], lam_b[0] + len(lam_b))
-        phi[block, block] = _phase_block(*rho[k], f"rho[{k}]")
+        phi[block, block] = _phase_block(d.rho[k], f"rho[{k}]")
         order += lam_b[1:]
         core.append(len(order))
         order += lam_b[:1] + mu_b
         block = slice(core[k], len(order))
         # phi1 vanishes on ker R1 at a terminal zero
-        Phi1[block, block] = 0.0 if rho1[k] is None else _phase_block(*rho1[k], f"rho1[{k}]")
+        Phi1[block, block] = 0.0 if d.rho1[k] is None else _phase_block(d.rho1[k], f"rho1[{k}]")
     E = np.zeros((dim, dim))
     E[order, range(dim)] = 1.0
     E[np.ix_(h0, core)] = V

@@ -106,7 +106,7 @@ def random_multiplicity_data(rng: np.random.Generator, n: int, max_atoms: int = 
                 for _ in range(n)]
         if s.has_terminal_zero:
             rho1[-1] = None
-        return CompactSpectralData.multiplicity(s, rho, rho1)
+        return CompactSpectralData(s, rho, rho1)
 
     return _guarded(draw, max_contraction)
 

@@ -21,25 +21,17 @@ from .operator_assembly import assemble, level_projections
 from .spectral_data import AtomicMeasure, CompactSpectralData
 
 
-def _atoms(v):
-    """A recovered level's phase data as ``(points, weights)``: a unimodular
-    scalar is a point mass."""
-    if isinstance(v, AtomicMeasure):
-        return v.points, v.weights
-    return np.array([complex(v)]), np.ones(1)
-
-
-def atoms_difference(a, b) -> float:
-    """Max atom-wise discrepancy of two ``(points, weights)`` levels after
-    sorting the atoms by angle; inf on size mismatch."""
-    if len(a[0]) != len(b[0]):
+def atoms_difference(a: AtomicMeasure, b: AtomicMeasure) -> float:
+    """Max atom-wise discrepancy of two measures after sorting the atoms by
+    angle; inf on size mismatch."""
+    if len(a.points) != len(b.points):
         return float("inf")
-    ia = np.argsort(np.mod(np.angle(a[0]), 2.0 * np.pi))
-    ib = np.argsort(np.mod(np.angle(b[0]), 2.0 * np.pi))
-    dz = a[0][ia] - b[0][ib]
+    ia = np.argsort(np.mod(np.angle(a.points), 2.0 * np.pi))
+    ib = np.argsort(np.mod(np.angle(b.points), 2.0 * np.pi))
+    dz = a.points[ia] - b.points[ib]
     # np.hypot rounds as Python's complex abs does; np.abs can differ by an ulp
     return max(float(np.hypot(dz.real, dz.imag).max()),
-               float(np.abs(a[1][ia] - b[1][ib]).max()))
+               float(np.abs(a.weights[ia] - b.weights[ib]).max()))
 
 
 def roundtrip_errors(d: CompactSpectralData, recovered: ForwardData,
@@ -47,8 +39,7 @@ def roundtrip_errors(d: CompactSpectralData, recovered: ForwardData,
     """Error metrics of a recovery against the generating data.
 
     ``w``/``w1`` are the reference level weights of the generating bundle.
-    Every level's phase data compares atom-wise after sorting by angle, a
-    unimodular phase as a point mass.
+    Every level's measure compares atom-wise after sorting by angle.
     """
     s = d.spectrum
     scale = float(s.lam[0])
@@ -60,14 +51,13 @@ def roundtrip_errors(d: CompactSpectralData, recovered: ForwardData,
     mu_err = float(np.max(np.abs(recovered.mu - s.mu) / mu_den))
     w_err = float(np.max(np.abs(recovered.w - w) / w))
     w1_err = float(np.max(np.abs(recovered.w1 - w1) / w1))
-    rho, rho1 = d.level_atoms()
     phase_err = 0.0
-    for expected, got in zip(rho + rho1, (*recovered.xi, *recovered.eta)):
+    for expected, got in zip(d.rho + d.rho1, recovered.rho + recovered.rho1):
         if expected is None or got is None:
             if (expected is None) != (got is None):
                 phase_err = float("inf")
             continue
-        phase_err = max(phase_err, atoms_difference(_atoms(got), expected))
+        phase_err = max(phase_err, atoms_difference(got, expected))
     return {"lam": lam_err, "mu": mu_err,
             "weights": max(w_err, w1_err), "phases": phase_err}
 

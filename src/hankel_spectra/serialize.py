@@ -22,7 +22,13 @@ from .clark import BlaschkeProduct
 from .errors import SchemaError
 from .hankel_core import ForwardData, HankelMatrix
 from .operator_assembly import BlockLayout, OperatorBundle, assemble_from_operators
-from .spectral_data import AtomicMeasure, CompactSpectralData, IntertwinedSpectrum, validate_intertwining
+from .spectral_data import (
+    AtomicMeasure,
+    CompactSpectralData,
+    IntertwinedSpectrum,
+    phase_mode,
+    validate_intertwining,
+)
 from .stability import StabilityReport
 
 
@@ -279,9 +285,9 @@ def parse_measure(doc: dict) -> AtomicMeasure:
 # spectral_data.v1
 
 def emit_spectral_data(d: CompactSpectralData) -> dict:
-    doc = {"schema": "spectral_data.v1", "mode": d.mode,
-           "spectrum": emit_spectrum(d.spectrum)}
-    if d.mode == "cyclic":
+    mode = d.mode
+    doc = {"schema": "spectral_data.v1", "mode": mode, "spectrum": emit_spectrum(d.spectrum)}
+    if mode == "cyclic":
         doc["xi"] = _clist(d.xi)
         doc["eta"] = _clist(d.eta)
     else:
@@ -302,7 +308,7 @@ def parse_spectral_data(doc: dict) -> CompactSpectralData:
         rho = [parse_measure(m) for m in _require(doc, "rho", "spectral_data.v1")]
         rho1 = [None if m is None else parse_measure(m)
                 for m in _require(doc, "rho1", "spectral_data.v1")]
-        return CompactSpectralData.multiplicity(spectrum, rho, rho1)
+        return CompactSpectralData(spectrum, rho, rho1)
     raise SchemaError(f"spectral_data.v1: unknown mode {mode!r}")
 
 
@@ -329,9 +335,9 @@ def parse_hankel(doc: dict) -> HankelMatrix:
 _JOB_COUNTS = {"trials": 10, "n_max": 8, "levels_max": 3, "max_atoms": 3}
 
 
-def parse_roundtrip_job(doc: dict, default_mode: str) -> dict:
+def parse_roundtrip_job(doc: dict) -> dict:
     """The fields of a roundtrip_job.v1 document, checked, with their defaults
-    filled in; a job that names no mode takes ``default_mode``."""
+    filled in; a job that names no mode runs cyclic trials."""
     _check_schema(doc, "roundtrip_job.v1")
     job = {}
     for key, default in _JOB_COUNTS.items():
@@ -339,7 +345,7 @@ def parse_roundtrip_job(doc: dict, default_mode: str) -> dict:
         if isinstance(value, bool) or not isinstance(value, int) or value < 1:
             raise SchemaError(f"roundtrip_job.v1: {key} must be a positive integer, got {value!r}")
         job[key] = value
-    job["mode"] = doc.get("mode", default_mode)
+    job["mode"] = doc.get("mode", "cyclic")
     if job["mode"] not in ("cyclic", "multiplicity"):
         raise SchemaError(f"roundtrip_job.v1: mode must be 'cyclic' or 'multiplicity', "
                           f"got {job['mode']!r}")
@@ -459,22 +465,22 @@ def parse_measure_levels(doc: dict):
 
 # forward_data.v1
 
-def _emit_level_phase(value) -> dict:
-    if isinstance(value, AtomicMeasure):
-        return {"type": "measure", "value": emit_measure(value)}
-    return {"type": "phase", "value": _c(value)}
+def _emit_level_phase(m: AtomicMeasure) -> dict:
+    if phase_mode([m]) == "cyclic":
+        return {"type": "phase", "value": _c(m.points[0])}
+    return {"type": "measure", "value": emit_measure(m)}
 
 
 def emit_forward_data(fd: ForwardData) -> dict:
     return {
         "schema": "forward_data.v1",
-        "mode": fd.mode,
+        "mode": phase_mode(fd.rho + fd.rho1),
         "lambda": _fvec(fd.lam),
         "mu": _fvec(fd.mu),
         "w": _fvec(fd.w),
         "w1": _fvec(fd.w1),
-        "xi": [_emit_level_phase(v) for v in fd.xi],
-        "eta": [None if v is None else _emit_level_phase(v) for v in fd.eta],
+        "xi": [_emit_level_phase(m) for m in fd.rho],
+        "eta": [None if m is None else _emit_level_phase(m) for m in fd.rho1],
         "residuals": {k: float(v) for k, v in sorted(fd.residuals.items())},
     }
 

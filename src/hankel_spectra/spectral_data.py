@@ -129,19 +129,30 @@ class AtomicMeasure:
         object.__setattr__(self, "weights", weights)
         if points.ndim != 1 or weights.shape != points.shape or len(points) == 0:
             raise DegenerateMeasureError("measure needs at least one (point, weight) atom")
-        if np.any(weights <= 0) or not np.all(np.isfinite(weights)):
+        # a measure has a few atoms: Python reductions over lists beat numpy's
+        if not all(0.0 < w < math.inf for w in weights.tolist()):
             raise DegenerateMeasureError("weights must be strictly positive and finite")
-        scale = max(1.0, float(np.abs(points).max()))
-        for i in range(len(points)):
-            for j in range(i + 1, len(points)):
-                if abs(points[i] - points[j]) <= DISTINCTNESS_RTOL * scale:
-                    raise DegenerateMeasureError(f"atoms {i} and {j} coincide")
-        if self.circle and np.any(np.abs(np.abs(points) - 1.0) > UNIT_MODULUS_TOL):
+        moduli = np.abs(points).tolist()
+        m = len(moduli)
+        if m > 1:
+            close = np.abs(points[:, None] - points) <= DISTINCTNESS_RTOL * max(1.0, *moduli)
+            close.flat[:: m + 1] = False
+            if close.any():
+                # close is symmetric, so its first entry in row-major order
+                # is the first pair (i < j) in the order i, then j
+                i, j = divmod(int(close.argmax()), m)
+                raise DegenerateMeasureError(f"atoms {i} and {j} coincide")
+        if self.circle and any(abs(r - 1.0) > UNIT_MODULUS_TOL for r in moduli):
             raise DegenerateMeasureError("circle measure has a point off the unit circle")
         if self.probability and abs(weights.sum() - 1.0) > PROBABILITY_TOL:
             raise DegenerateMeasureError(f"weights sum to {weights.sum()}, not 1")
         points.setflags(write=False)
         weights.setflags(write=False)
+
+    @classmethod
+    def point_mass(cls, z) -> "AtomicMeasure":
+        """The circle probability measure delta_z of a unimodular phase z."""
+        return cls(points=[complex(z)], weights=[1.0], circle=True, probability=True)
 
     @property
     def atoms(self):
@@ -170,28 +181,60 @@ def _check_unimodular(values, what: str):
     return values
 
 
+def phase_mode(levels) -> str:
+    """The one-atom rule: the measures ``levels`` (``None`` where a level has
+    none) are ``"cyclic"`` phases exactly when each is a point mass, and
+    ``"multiplicity"`` data otherwise."""
+    one_atom = all(m is None or len(m.weights) == 1 for m in levels)
+    return "cyclic" if one_atom else "multiplicity"
+
+
 @dataclass(frozen=True, eq=False)
 class CompactSpectralData:
-    """Interlacing spectrum plus per-level phase data.
+    """Interlacing spectrum plus one circle probability measure per level.
 
-    Cyclic mode stores unimodular scalars ``xi_k`` (eigenvalue levels) and
-    ``eta_k`` (perturbed levels, 0 at a terminal ``mu_n = 0``).  Multiplicity
-    mode stores circle probability measures ``rho_k`` / ``rho1_k`` instead;
-    ``rho1`` is ``None`` at a terminal zero.
+    ``rho[k]`` holds the phase data of the level lambda_k and ``rho1[k]``
+    that of mu_k; ``rho1[k]`` is ``None`` at a terminal ``mu_n = 0``, and
+    ``rho1`` may omit that entry on construction.  The constructor validates.
+    Cyclic data are the case where every measure is a point mass:
+    :meth:`cyclic` wraps unimodular phases ``xi_k``/``eta_k`` this way, and
+    ``mode``, ``xi`` and ``eta`` are derived from the measures.
     """
 
     spectrum: IntertwinedSpectrum
-    mode: str
-    xi: tuple = ()
-    eta: tuple = ()
-    rho: tuple = ()
-    rho1: tuple = ()
+    rho: tuple
+    rho1: tuple
+
+    def __post_init__(self):
+        n = self.spectrum.n
+        rho = tuple(self.rho)
+        rho1 = list(self.rho1)
+        if len(rho) != n:
+            raise DegenerateMeasureError(f"expected {n} rho measures, got {len(rho)}")
+        if self.spectrum.has_terminal_zero and len(rho1) == n - 1:
+            rho1 = rho1 + [None]
+        if len(rho1) != n:
+            raise DegenerateMeasureError(f"expected {n} rho1 measures, got {len(rho1)}")
+        for k, m in enumerate(rho):
+            if not (m.circle and m.probability):
+                raise DegenerateMeasureError(f"rho[{k}] must be a circle probability measure")
+        for k, m in enumerate(rho1):
+            if k == n - 1 and self.spectrum.has_terminal_zero:
+                if m is not None:
+                    raise DegenerateMeasureError("rho1 must be absent at the terminal mu = 0")
+                continue
+            if m is None or not (m.circle and m.probability):
+                raise DegenerateMeasureError(f"rho1[{k}] must be a circle probability measure")
+        object.__setattr__(self, "rho", rho)
+        object.__setattr__(self, "rho1", tuple(rho1))
 
     @classmethod
     def cyclic(cls, spectrum: IntertwinedSpectrum, xi, eta) -> "CompactSpectralData":
+        """Cyclic data: each unimodular phase becomes its point mass.  ``eta``
+        is 0 (or omitted) at a terminal ``mu_n = 0``."""
         n = spectrum.n
-        xi = tuple(complex(v) for v in xi)
-        eta = list(complex(v) for v in eta)
+        xi = [complex(v) for v in xi]
+        eta = [complex(v) for v in eta]
         if len(xi) != n:
             raise NonUnimodularPhaseError(f"expected {n} xi phases, got {len(xi)}")
         if spectrum.has_terminal_zero and len(eta) == n - 1:
@@ -202,48 +245,29 @@ class CompactSpectralData:
         if spectrum.has_terminal_zero:
             if abs(eta[-1]) > UNIT_MODULUS_TOL:
                 raise NonUnimodularPhaseError("eta must vanish at the terminal mu = 0")
-            eta[-1] = 0j
-            _check_unimodular(eta[:-1], "eta")
-        else:
-            _check_unimodular(eta, "eta")
-        return cls(spectrum=spectrum, mode="cyclic", xi=xi, eta=tuple(eta))
+            eta = eta[:-1]
+        _check_unimodular(eta, "eta")
+        return cls(spectrum, [AtomicMeasure.point_mass(z) for z in xi],
+                   [AtomicMeasure.point_mass(z) for z in eta])
 
-    @classmethod
-    def multiplicity(cls, spectrum: IntertwinedSpectrum, rho, rho1) -> "CompactSpectralData":
-        n = spectrum.n
-        rho = tuple(rho)
-        rho1 = list(rho1)
-        if len(rho) != n:
-            raise DegenerateMeasureError(f"expected {n} rho measures, got {len(rho)}")
-        if spectrum.has_terminal_zero and len(rho1) == n - 1:
-            rho1 = rho1 + [None]
-        if len(rho1) != n:
-            raise DegenerateMeasureError(f"expected {n} rho1 measures, got {len(rho1)}")
-        for k, m in enumerate(rho):
-            if not (m.circle and m.probability):
-                raise DegenerateMeasureError(f"rho[{k}] must be a circle probability measure")
-        for k, m in enumerate(rho1):
-            if k == n - 1 and spectrum.has_terminal_zero:
-                if m is not None:
-                    raise DegenerateMeasureError("rho1 must be absent at the terminal mu = 0")
-                continue
-            if m is None or not (m.circle and m.probability):
-                raise DegenerateMeasureError(f"rho1[{k}] must be a circle probability measure")
-        return cls(spectrum=spectrum, mode="multiplicity", rho=rho, rho1=tuple(rho1))
+    @property
+    def mode(self) -> str:
+        return phase_mode(self.rho + self.rho1)
 
-    def level_atoms(self):
-        """``(rho, rho1)``: each level's phase data as ``(points, weights)``
-        arrays, ``None`` where rho1 is absent (at a terminal zero).  A cyclic
-        phase is a point mass of weight 1."""
-        if self.mode == "multiplicity":
-            return ([(m.points, m.weights) for m in self.rho],
-                    [None if m is None else (m.points, m.weights) for m in self.rho1])
-        one = np.ones(1)
-        rho = [(z, one) for z in np.array(self.xi)[:, None]]
-        rho1 = [(z, one) for z in np.array(self.eta)[:, None]]
-        if self.spectrum.has_terminal_zero:
-            rho1[-1] = None
-        return rho, rho1
+    def _phases(self, levels) -> tuple:
+        if self.mode != "cyclic":
+            raise ValueError("multiplicity data have no scalar phases")
+        return tuple(0j if m is None else complex(m.points[0]) for m in levels)
+
+    @property
+    def xi(self) -> tuple:
+        """The phases xi_k of cyclic data."""
+        return self._phases(self.rho)
+
+    @property
+    def eta(self) -> tuple:
+        """The phases eta_k of cyclic data, 0 at a terminal ``mu_n = 0``."""
+        return self._phases(self.rho1)
 
 
 def borg_weights(s: IntertwinedSpectrum) -> AtomicMeasure:

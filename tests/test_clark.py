@@ -139,7 +139,7 @@ class TestGpConvert:
         for m in rho:
             assert len(m.points) == 1 and m.points[0] == pytest.approx(1.0)
         s = hs.validate_intertwining([2.0, 1.0], [np.sqrt(2.0), 0.0])
-        d = hs.CompactSpectralData.multiplicity(s, rho, rho1)
+        d = hs.CompactSpectralData(s, rho, rho1)
         b = hs.assemble(d)
         cyc = hs.assemble(hs.CompactSpectralData.cyclic(s, [1.0, 1.0], [1.0, 0.0]))
         np.testing.assert_allclose(
@@ -148,7 +148,7 @@ class TestGpConvert:
     def test_square_gives_two_dimensional_level(self):
         rho, rho1 = hs.gp_convert_to_measures([hs.BlaschkeProduct(zeros=[0.0, 0.0])], [None])
         s = hs.validate_intertwining([1.0], [0.0])
-        b = hs.assemble(hs.CompactSpectralData.multiplicity(s, rho, rho1))
+        b = hs.assemble(hs.CompactSpectralData(s, rho, rho1))
         assert len(b.layout.lam_blocks[0]) == 2
 
     def test_cross_validates_against_forward_extraction(self):
@@ -161,14 +161,14 @@ class TestGpConvert:
         theta1s = [hs.BlaschkeProduct(zeros=zeros3), None]
         rho, rho1 = hs.gp_convert_to_measures(thetas, theta1s)
         s = hs.validate_intertwining([1.5, 0.8], [1.1, 0.0])
-        d = hs.CompactSpectralData.multiplicity(s, rho, rho1)
+        d = hs.CompactSpectralData(s, rho, rho1)
         h = hs.hankel_from_data(d)
         fd = hs.forward_extract(h)
-        got0 = fd.xi[0].canonically_sorted()
+        got0 = fd.rho[0].canonically_sorted()
         ref0 = rho[0].canonically_sorted()
         assert np.abs(got0.points - ref0.points).max() <= 1e-8
         assert np.abs(got0.weights - ref0.weights).max() <= 1e-8
-        got_eta = fd.eta[0].canonically_sorted()
+        got_eta = fd.rho1[0].canonically_sorted()
         ref_eta = rho1[0].canonically_sorted()
         assert np.abs(got_eta.points - ref_eta.points).max() <= 1e-8
         assert np.abs(got_eta.weights - ref_eta.weights).max() <= 1e-8

@@ -68,7 +68,7 @@ class TestAssembleMultiplicity:
             s = d.spectrum
             rho1 = [None if v == 0 else to_measure(v) for v in d.eta]
             cyc = hs.assemble(d)
-            mult = hs.assemble(hs.CompactSpectralData.multiplicity(
+            mult = hs.assemble(hs.CompactSpectralData(
                 s, [to_measure(v) for v in d.xi], rho1))
             for name in ("R", "R1", "p", "q", "phi", "phi1", "sigma_star", "A"):
                 assert np.array_equal(getattr(cyc, name), getattr(mult, name)), (s.n, name)
@@ -78,7 +78,7 @@ class TestAssembleMultiplicity:
         s = hs.validate_intertwining([1.0], [0.0])
         rho = [hs.AtomicMeasure([1.0 + 0j, -1.0 + 0j], [0.5, 0.5],
                                 circle=True, probability=True)]
-        b = hs.assemble(hs.CompactSpectralData.multiplicity(s, rho, [None]))
+        b = hs.assemble(hs.CompactSpectralData(s, rho, [None]))
         assert b.dim == 2
         np.testing.assert_allclose(np.sort(np.linalg.eigvals(b.phi).real), [-1.0, 1.0],
                                    atol=1e-14)
@@ -114,7 +114,7 @@ class TestAssembleMultiplicity:
         rho = [hs.AtomicMeasure([1.0 + 0j, -1.0 + 0j], [1.0 - 1e-15, 1e-15],
                                 circle=True, probability=True)]
         with pytest.raises(SupportNotCyclicError, match=r"rho\[0\]"):
-            hs.assemble(hs.CompactSpectralData.multiplicity(s, rho, [None]))
+            hs.assemble(hs.CompactSpectralData(s, rho, [None]))
 
 
 class TestEnvelopeSweep:

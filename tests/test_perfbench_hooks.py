@@ -5,9 +5,11 @@ bypasses one of them must fail here, not only in a traced benchmark run."""
 import importlib
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import hankel_spectra as hs
+from hankel_spectra.random_data import random_cyclic_data, random_multiplicity_data
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -55,3 +57,27 @@ def test_inverse_path_calls_through_the_wrapped_attributes(tracing, rank2_data):
     for layer in ("operator_assembly.assemble", "hankel_core.certified_truncation",
                   "hankel_core.gamma_sequence", "hankel_core.from_gamma"):
         assert calls[f"{layer}.calls"][0] == 1, layer
+
+
+def test_workload_reads_the_data_contract(monkeypatch):
+    # the benchmark reads d.mode, d.xi, d.eta, d.rho and d.rho1 of drawn data
+    # (workload.expected_from) and hands d.rho, d.rho1 to the Clark converter
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    workload = importlib.import_module("workload")
+    cyclic = random_cyclic_data(np.random.default_rng(1), 3, terminal_zero=True)
+    multiplicity = random_multiplicity_data(np.random.default_rng(2), 3, max_atoms=3,
+                                            terminal_zero=False)
+    assert (cyclic.mode, multiplicity.mode) == ("cyclic", "multiplicity")
+    for d in (cyclic, multiplicity):
+        exp = workload.expected_from(d)
+        np.testing.assert_array_equal(exp.lam, d.spectrum.lam)
+        np.testing.assert_array_equal(exp.mu, d.spectrum.mu)
+        for got, m in zip(exp.xi + exp.eta, d.rho + d.rho1, strict=True):
+            if m is None:                       # the terminal mu = 0 of the cyclic draw
+                assert got is None
+                continue
+            np.testing.assert_array_equal(got[0], m.points)
+            np.testing.assert_array_equal(got[1], m.weights)
+    thetas, theta1s = hs.clark.gp_convert_to_inner(multiplicity.rho, multiplicity.rho1)
+    assert [len(t.zeros) for t in thetas] == [len(m.points) for m in multiplicity.rho]
+    assert [len(t.zeros) for t in theta1s] == [len(m.points) for m in multiplicity.rho1]

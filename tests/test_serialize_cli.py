@@ -39,7 +39,7 @@ class TestSchemas:
     def test_spectral_data_multiplicity_roundtrip(self):
         s = hs.validate_intertwining([1.0], [0.0])
         rho = [hs.AtomicMeasure([1j, -1j], [0.25, 0.75], circle=True, probability=True)]
-        d = hs.CompactSpectralData.multiplicity(s, rho, [None])
+        d = hs.CompactSpectralData(s, rho, [None])
         doc = serialize.emit_spectral_data(d)
         assert serialize.emit_spectral_data(serialize.parse_spectral_data(doc)) == doc
 
@@ -232,7 +232,7 @@ class TestCli:
         job = {"schema": "roundtrip_job.v1", "trials": 16, "n_max": 4, "mode": "cyclic"}
         job_path = tmp_path / "job.json"
         job_path.write_text(serialize.dumps(job))
-        bad = cli._trial_data(serialize.parse_roundtrip_job(job, "cyclic"),
+        bad = cli._trial_data(serialize.parse_roundtrip_job(job),
                               np.random.SeedSequence(5).spawn(16)[3])
         real = cli.run_roundtrip_trial
 
@@ -281,14 +281,34 @@ def test_roundtrip_job_fields_are_checked(fields, tmp_path, capsys):
     assert not out.exists()
 
 
+def test_roundtrip_mode_comes_from_the_job(tmp_path, capsys):
+    # --mode is gone: it exits 2, and the job's mode field (default cyclic)
+    # is the only place a trial mode is set
+    reports = {}
+    for mode in (None, "cyclic", "multiplicity"):
+        job = tmp_path / f"job_{mode}.json"
+        job.write_text(json.dumps({"schema": "roundtrip_job.v1", "trials": 2, "n_max": 2}
+                                  | ({"mode": mode} if mode else {})))
+        out = tmp_path / f"report_{mode}.json"
+        argv = ["roundtrip", "--input", str(job), "--output", str(out), "--seed", "3"]
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--mode", "multiplicity"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --mode" in capsys.readouterr().err
+        assert main(argv) == 0
+        reports[mode] = out.read_bytes()
+    assert reports[None] == reports["cyclic"] != reports["multiplicity"]
+
+
 @pytest.mark.parametrize("command, reads", [
     ("synthesize", {"--truncation", "--tol-tail"}),
     ("analyze", {"--tol-gap"}),
-    ("roundtrip", {"--truncation", "--seed", "--tol-gap", "--tol-tail", "--mode"}),
+    ("roundtrip", {"--truncation", "--seed", "--tol-gap", "--tol-tail"}),
     ("convert-clark", set()),
     ("stability", set()),
 ])
 def test_subcommand_takes_only_the_options_it_reads(command, reads, tmp_path):
+    # no subcommand takes --mode: a roundtrip job's own mode field sets it
     argv = [command, "--input", str(tmp_path / "in.json"), "--output", str(tmp_path / "out")]
     values = {"--truncation": "4", "--seed": "1", "--tol-gap": "1e-5",
               "--tol-tail": "1e-11", "--mode": "multiplicity"}
@@ -311,10 +331,10 @@ def test_reused_parser_keeps_no_options_between_calls(monkeypatch):
     configs = []
     monkeypatch.setattr(cli, "run", lambda cfg: configs.append(cfg) or 0)
     assert main(["roundtrip", "--input", "job.json", "--output", "a.json", "--seed", "5",
-                 "--tol-gap", "1e-4", "--mode", "multiplicity"]) == 0
+                 "--tol-gap", "1e-4"]) == 0
     assert main(["analyze", "--input", "hankel.json", "--output", "b.json"]) == 0
     assert build_parser() is build_parser()
     first, second = configs
-    assert (first.seed, first.tolerances.cluster_gap, first.mode) == (5, 1e-4, "multiplicity")
+    assert (first.seed, first.tolerances.cluster_gap) == (5, 1e-4)
     assert second == cli.JobConfig(command="analyze", input=Path("hankel.json"),
                                    output=Path("b.json"))

@@ -5,14 +5,16 @@ from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 import hankel_spectra as hs
+from hankel_spectra import serialize
 from hankel_spectra.errors import (
     DegenerateMeasureError,
     EmptyInputError,
     NegativeEntryError,
     NonInterlacingError,
+    NonUnimodularPhaseError,
     PoleProximityError,
 )
-from hankel_spectra.random_data import random_spectrum
+from hankel_spectra.random_data import random_circle_measure, random_phases, random_spectrum
 
 
 def spectrum_strategy(max_n=12):
@@ -212,6 +214,16 @@ class TestAtomicMeasure:
         with pytest.raises(DegenerateMeasureError):
             hs.AtomicMeasure([1.0, 1.0 + 1e-15], [0.5, 0.5])
 
+    @pytest.mark.parametrize("points, pair", [
+        ([1.0, 2.0, 1.0 + 1e-15, 2.0 + 1e-15], "0 and 2"),
+        ([1.0, 2.0, 2.0 + 1e-15, 1.0 + 1e-15], "0 and 3"),
+        ([1j, 1.0, -1.0, -1.0 + 1e-15], "2 and 3"),
+    ])
+    def test_names_the_first_coinciding_pair(self, points, pair):
+        # the first pair (i < j) in the order i, then j; not the closest pair
+        with pytest.raises(DegenerateMeasureError, match=f"atoms {pair} coincide"):
+            hs.AtomicMeasure(points, [0.25] * 4)
+
     def test_circle_flag_enforced(self):
         with pytest.raises(DegenerateMeasureError):
             hs.AtomicMeasure([0.5 + 0j], [1.0], circle=True)
@@ -225,3 +237,67 @@ class TestAtomicMeasure:
                              circle=True, probability=True)
         srt = m.canonically_sorted()
         assert srt.points[0] == 1.0 + 0j and srt.weights[0] == 0.75
+
+
+def _point_mass_data(s, xi, eta):
+    """Multiplicity data whose every measure is one atom of weight 1."""
+    delta = lambda z: hs.AtomicMeasure([z], [1.0], circle=True, probability=True)
+    rho1 = [delta(z) for z in eta[: s.n - s.has_terminal_zero]]
+    return hs.CompactSpectralData(s, [delta(z) for z in xi], rho1)
+
+
+class TestPointMasses:
+    @pytest.mark.parametrize("n, terminal_zero", [(1, True), (3, False), (4, True)])
+    def test_point_masses_are_cyclic_data(self, n, terminal_zero):
+        rng = np.random.default_rng(40 + n)
+        s = random_spectrum(rng, n, terminal_zero)
+        xi, eta = random_phases(rng, n), random_phases(rng, n)
+        if terminal_zero:
+            eta[-1] = 0.0
+        cyc = hs.CompactSpectralData.cyclic(s, xi, eta)
+        mult = _point_mass_data(s, xi, eta)
+        assert mult.mode == cyc.mode == "cyclic"
+        assert mult.xi == cyc.xi == tuple(xi)
+        assert mult.eta == cyc.eta == tuple(eta)
+        for emit, obj in ((serialize.emit_spectral_data, lambda d: d),
+                          (serialize.emit_bundle, hs.assemble)):
+            assert serialize.dumps(emit(obj(mult))) == serialize.dumps(emit(obj(cyc)))
+
+    def test_one_measure_of_several_atoms_makes_multiplicity_data(self):
+        rng = np.random.default_rng(5)
+        s = random_spectrum(rng, 2, terminal_zero=True)
+        d = _point_mass_data(s, [1.0, 1j], [-1.0])
+        d = hs.CompactSpectralData(s, [d.rho[0], random_circle_measure(rng, 2)], d.rho1)
+        assert d.mode == "multiplicity"
+        assert serialize.emit_spectral_data(d)["mode"] == "multiplicity"
+        with pytest.raises(ValueError):
+            d.xi
+
+    def test_cyclic_forward_data_writes_phases(self, rank2_data):
+        fd = hs.forward_extract(hs.hankel_from_data(rank2_data))
+        assert all(len(m.points) == 1 for m in fd.rho + fd.rho1[:-1])
+        doc = serialize.emit_forward_data(fd)
+        assert doc["mode"] == "cyclic"
+        assert [e["type"] for e in doc["xi"]] == ["phase", "phase"]
+        assert doc["eta"][0]["type"] == "phase" and doc["eta"][1] is None
+
+    @pytest.mark.parametrize("xi, eta, match", [
+        ([1.0, 0.5], [1.0, 0.0], r"xi\[1\]"),
+        ([1.0, 1.0], [2.0, 0.0], r"eta\[0\]"),
+        ([1.0, 1.0], [1.0, 1.0], "vanish at the terminal"),
+        ([1.0], [1.0, 0.0], "expected 2 xi"),
+        ([1.0, 1.0], [], "expected 2 eta"),
+    ])
+    def test_cyclic_refuses_bad_phases(self, rank2_spectrum, xi, eta, match):
+        with pytest.raises(NonUnimodularPhaseError, match=match):
+            hs.CompactSpectralData.cyclic(rank2_spectrum, xi, eta)
+
+    def test_constructor_refuses_bad_measures(self, rank2_spectrum):
+        delta = hs.AtomicMeasure.point_mass(1.0)
+        plain = hs.AtomicMeasure([1.0], [1.0])
+        for rho, rho1, match in (([delta], [delta], "expected 2 rho "),
+                                 ([delta, plain], [delta], r"rho\[1\] must"),
+                                 ([delta, delta], [delta, delta], "absent at the terminal"),
+                                 ([delta, delta], [None, None], r"rho1\[0\] must")):
+            with pytest.raises(DegenerateMeasureError, match=match):
+                hs.CompactSpectralData(rank2_spectrum, rho, rho1)
