@@ -34,7 +34,7 @@ from .operator_assembly import (
     OperatorBundle,
     assemble,
     assemble_from_operators,
-    conjugation_check,
+    bundle_residuals,
 )
 from .roundtrip import roundtrip_errors, run_roundtrip_trial
 from .spectral_data import (
@@ -63,11 +63,11 @@ __all__ = [
     "assemble",
     "assemble_from_operators",
     "borg_weights",
+    "bundle_residuals",
     "cauchy_transform_eval",
     "certified_truncation",
     "clark_measure",
     "cnu_certificate",
-    "conjugation_check",
     "forward_extract",
     "gamma_sequence",
     "gp_convert_to_inner",

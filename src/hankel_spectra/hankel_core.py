@@ -196,7 +196,7 @@ def certified_truncation(b: OperatorBundle, tail_tol: float = TAIL_TOL) -> int:
 
 
 def hankel_from_bundle(b: OperatorBundle, N: int | str = "auto",
-                       tail_tol: float = TAIL_TOL, certified: bool = True) -> HankelMatrix:
+                       tail_tol: float = TAIL_TOL) -> HankelMatrix:
     """The N x N truncation of the bundle's symbol.  The certified N, the tail
     check at an explicit N and the symbol all read one orbit of Sigma*."""
     if N == "auto":
@@ -205,19 +205,18 @@ def hankel_from_bundle(b: OperatorBundle, N: int | str = "auto",
         N = int(N)
         if N < 1:
             raise TruncationTooSmallError("N must be at least 1")
-        if certified:
-            tail = float(np.linalg.norm(b.sigma_orbit(N + 1)[:, N]))
-            if tail > tail_tol:
-                raise TruncationTooSmallError(
-                    f"||(Sigma*)^{N} p|| = {tail:.3e} exceeds {tail_tol:.1e}")
+        tail = float(np.linalg.norm(b.sigma_orbit(N + 1)[:, N]))
+        if tail > tail_tol:
+            raise TruncationTooSmallError(
+                f"||(Sigma*)^{N} p|| = {tail:.3e} exceeds {tail_tol:.1e}")
     gamma = gamma_sequence(b, 2 * N - 2)
     return HankelMatrix.from_gamma(gamma, N)
 
 
 def hankel_from_data(d: CompactSpectralData, N: int | str = "auto",
-                     tail_tol: float = TAIL_TOL, certified: bool = True) -> HankelMatrix:
+                     tail_tol: float = TAIL_TOL) -> HankelMatrix:
     """Assemble the bundle for ``d`` and emit its truncated Hankel matrix."""
-    return hankel_from_bundle(assemble(d), N=N, tail_tol=tail_tol, certified=certified)
+    return hankel_from_bundle(assemble(d), N=N, tail_tol=tail_tol)
 
 
 def rank_one_identity_residual(h: HankelMatrix) -> float:

@@ -221,13 +221,9 @@ def _psd_sqrt(eig, scale: float) -> np.ndarray:
     return (vecs * np.sqrt(evals)) @ vecs.conj().T
 
 
-def assemble_from_operators(R, R1, p, phi, phi1, C, layout: BlockLayout,
-                            validate: bool = True) -> OperatorBundle:
-    """Finish a bundle from its constituent operators and check the invariants.
-
-    Used by the builder and by tests that transform a bundle (change
-    of basis, gauge rotation) and need the derived objects recomputed.
-    """
+def _from_operators(R, R1, p, phi, phi1, C, layout: BlockLayout) -> OperatorBundle:
+    """The bundle of these operators with q, qhat and Sigma* derived,
+    invariants unchecked."""
     R = np.asarray(R, dtype=complex)
     R1 = np.asarray(R1, dtype=complex)
     p = np.asarray(p, dtype=complex)
@@ -237,49 +233,74 @@ def assemble_from_operators(R, R1, p, phi, phi1, C, layout: BlockLayout,
     q = phi @ np.linalg.solve(R, p)
     qhat = C @ np.conj(q)
     sigma = phi1 @ R1 @ np.linalg.solve(R, phi.conj().T)  # Sigma* = phi1 R1 R^{-1} phi*
-    bundle = OperatorBundle(
+    return OperatorBundle(
         dim=len(p), R=R, R1=R1, p=p, q=q, qhat=qhat, phi=phi, phi1=phi1,
         Jp=C, sigma_star=sigma, layout=layout)
-    return _validate_bundle(bundle) if validate else bundle
+
+
+def assemble_from_operators(R, R1, p, phi, phi1, C, layout: BlockLayout) -> OperatorBundle:
+    """Finish a bundle from its constituent operators and check the invariants.
+
+    Used by the bundle.v1 parser and by tests that transform a bundle (change
+    of basis, gauge rotation) and need the derived objects recomputed.
+    """
+    return _validate_bundle(_from_operators(R, R1, p, phi, phi1, C, layout))
+
+
+def bundle_residuals(b: OperatorBundle) -> dict:
+    """Each defining identity of ``b`` by name, mapped to ``(residual, bound)``.
+
+    The conjugation acts by ``x -> C conj(x)``: it is unitary, involutive,
+    fixes p and commutes with R and R1, and a matrix T is Jp-symmetric when
+    ``T* = C conj(T) conj(C)``.  Unitary and involutive make C symmetric, so
+    ``<y, Jp x> = <x, Jp y>``; Jp is antilinear by construction.
+    """
+    r2 = b.r_norm**2
+    eye = np.eye(b.dim)
+    C = b.Jp
+    commute = COMMUTE_RTOL * b.r_norm * b.dim
+
+    def norm(M) -> float:
+        return float(np.linalg.norm(M))
+
+    def jsym(M) -> float:
+        return norm(M.conj().T - C @ np.conj(M) @ np.conj(C))
+
+    # phi1 must be isometric exactly on (ker R1)^perp and zero on ker R1.
+    # ker R1 is ker(R1 - mu_n I) at a terminal zero and trivial otherwise; it
+    # leads the ascending eigh(R1), as level_projections reads it.
+    lay = b.layout
+    kernel_dim = lay.mu_eigdim(lay.n_levels - 1) if lay.mu[-1] == 0.0 else 0
+    kernel = b.r1_eigh[1][:, :kernel_dim]
+    isometry = b.phi1.conj().T @ b.phi1 - (eye - kernel @ kernel.conj().T)
+    return {
+        "R hermitian": (norm(b.R - b.R.conj().T), RANK_ONE_RTOL * r2),
+        "rank-one relation": (norm(b.R @ b.R - b.R1 @ b.R1 - np.outer(b.p, b.p.conj())),
+                              RANK_ONE_RTOL * r2 * b.dim),
+        "phi unitary": (norm(b.phi @ b.phi.conj().T - eye), 1e-10),
+        "phi commutes with R": (norm(b.phi @ b.R - b.R @ b.phi), commute),
+        "phi1 commutes with R1": (norm(b.phi1 @ b.R1 - b.R1 @ b.phi1), commute),
+        "defect identity": (norm(eye - b.sigma_star.conj().T @ b.sigma_star
+                                 - np.outer(b.q, b.q.conj())), DEFECT_TOL),
+        "Jp involutive": (norm(C @ np.conj(C) - eye), CONJUGATION_TOL),
+        "Jp fixes p": (norm(b.conjugate(b.p) - b.p),
+                       CONJUGATION_TOL * max(1.0, norm(b.p))),
+        "phi Jp-symmetric": (jsym(b.phi), 1e-9 * b.dim),
+        "phi1 Jp-symmetric": (jsym(b.phi1), 1e-9 * b.dim),
+        "phi1 partial isometry": (norm(isometry), 1e-9),
+        "Jp unitary": (norm(C.conj().T @ C - eye), CONJUGATION_TOL),
+        "Jp commutes with R": (norm(C @ np.conj(b.R) - b.R @ C), commute),
+        "Jp commutes with R1": (norm(C @ np.conj(b.R1) - b.R1 @ C), commute),
+    }
 
 
 def _validate_bundle(b: OperatorBundle) -> OperatorBundle:
     """Return ``b`` if it satisfies its defining identities; raise
-    BundleInvariantError naming the first one it violates."""
-    r2 = b.r_norm**2
-    checks = {
-        "R hermitian": np.linalg.norm(b.R - b.R.conj().T) <= RANK_ONE_RTOL * r2,
-        "rank-one relation": np.linalg.norm(b.R @ b.R - b.R1 @ b.R1 - np.outer(b.p, b.p.conj()))
-        <= RANK_ONE_RTOL * r2 * b.dim,
-        "phi unitary": np.linalg.norm(b.phi @ b.phi.conj().T - np.eye(b.dim)) <= 1e-10,
-        "phi commutes with R": np.linalg.norm(b.phi @ b.R - b.R @ b.phi)
-        <= COMMUTE_RTOL * b.r_norm * b.dim,
-        "phi1 commutes with R1": np.linalg.norm(b.phi1 @ b.R1 - b.R1 @ b.phi1)
-        <= COMMUTE_RTOL * b.r_norm * b.dim,
-        "defect identity": np.linalg.norm(
-            np.eye(b.dim) - b.sigma_star.conj().T @ b.sigma_star - np.outer(b.q, b.q.conj()))
-        <= DEFECT_TOL,
-        "Jp involutive": np.linalg.norm(b.Jp @ np.conj(b.Jp) - np.eye(b.dim)) <= CONJUGATION_TOL,
-        "Jp fixes p": np.linalg.norm(b.conjugate(b.p) - b.p)
-        <= CONJUGATION_TOL * max(1.0, float(np.linalg.norm(b.p))),
-        "phi Jp-symmetric": np.linalg.norm(
-            b.phi.conj().T - b.Jp @ np.conj(b.phi) @ np.conj(b.Jp)) <= 1e-9 * b.dim,
-        "phi1 Jp-symmetric": np.linalg.norm(
-            b.phi1.conj().T - b.Jp @ np.conj(b.phi1) @ np.conj(b.Jp)) <= 1e-9 * b.dim,
-    }
-    # phi1 must be isometric exactly on (ker R1)^perp and zero on ker R1.
-    # ker R1 is ker(R1 - mu_n I) at a terminal zero and trivial otherwise; it
-    # leads the ascending eigh(R1), as level_projections reads it.
-    g = b.phi1.conj().T @ b.phi1
-    lay = b.layout
-    kernel_dim = lay.mu_eigdim(lay.n_levels - 1) if lay.mu[-1] == 0.0 else 0
-    kernel = b.r1_eigh[1][:, :kernel_dim]
-    proj_kernel = kernel @ kernel.conj().T
-    checks["phi1 partial isometry"] = (
-        np.linalg.norm(g - (np.eye(b.dim) - proj_kernel)) <= 1e-9)
-    for name, ok in checks.items():
-        if not ok:
-            raise BundleInvariantError(f"bundle violates: {name}")
+    BundleInvariantError naming the first one over its bound."""
+    for name, (residual, bound) in bundle_residuals(b).items():
+        if not residual <= bound:
+            raise BundleInvariantError(
+                f"bundle violates: {name} (residual {residual:.3e} > bound {bound:.3e})")
     return b
 
 
@@ -377,8 +398,7 @@ def _build(d: CompactSpectralData) -> OperatorBundle:
     R1 = (E * r1) @ E.T
     phi1 = E @ Phi1 @ E.T
 
-    return assemble_from_operators(np.diag(r), R1, p, phi, phi1, np.eye(dim), layout,
-                                   validate=False)
+    return _from_operators(np.diag(r), R1, p, phi, phi1, np.eye(dim), layout)
 
 
 def assemble(d: CompactSpectralData) -> OperatorBundle:
@@ -410,45 +430,3 @@ def level_projections(b: OperatorBundle):
         pos += lay.mu_eigdim(k)
         p1_ks.append(basis @ (basis.conj().T @ b.p))
     return p_ks, p1_ks
-
-
-def conjugation_check(b: OperatorBundle, trials: int = 50, seed: int = 0) -> dict:
-    """Numerically verify the conjugation laws; returns max residual per law."""
-    rng = np.random.default_rng(seed)
-    dim = b.dim
-    C = b.Jp
-    eye = np.eye(dim)
-
-    def rand_vec():
-        return rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-
-    anti = 0.0
-    flip = 0.0
-    iso = 0.0
-    for _ in range(trials):
-        x, y = rand_vec(), rand_vec()
-        al, be = complex(*rng.standard_normal(2)), complex(*rng.standard_normal(2))
-        anti = max(anti, float(np.linalg.norm(
-            b.conjugate(al * x + be * y)
-            - np.conj(al) * b.conjugate(x) - np.conj(be) * b.conjugate(y))
-            / max(1.0, np.linalg.norm(x) + np.linalg.norm(y))))
-        flip = max(flip, abs(np.vdot(y, b.conjugate(x)) - np.vdot(x, b.conjugate(y)))
-                   / max(1.0, float(np.linalg.norm(x) * np.linalg.norm(y))))
-        iso = max(iso, abs(np.linalg.norm(b.conjugate(x)) - np.linalg.norm(x))
-                  / max(1.0, float(np.linalg.norm(x))))
-
-    def jsym_residual(M):
-        # T is Jp-symmetric iff T* = C conj(T) conj(C).
-        return float(np.linalg.norm(M.conj().T - C @ np.conj(M) @ np.conj(C)))
-
-    return {
-        "antilinear": anti,
-        "involutive": float(np.linalg.norm(C @ np.conj(C) - eye)),
-        "isometric": max(iso, float(np.linalg.norm(C.conj().T @ C - eye))),
-        "fixes_p": float(np.linalg.norm(b.conjugate(b.p) - b.p)),
-        "commutes_R": float(np.linalg.norm(C @ np.conj(b.R) - b.R @ C)),
-        "commutes_R1": float(np.linalg.norm(C @ np.conj(b.R1) - b.R1 @ C)),
-        "symmetry_phi": jsym_residual(b.phi),
-        "symmetry_phi1": jsym_residual(b.phi1),
-        "inner_product_flip": flip,
-    }

@@ -485,36 +485,6 @@ def emit_forward_data(fd: ForwardData) -> dict:
     }
 
 
-# dense binary layout: magic, <u4 dims, row-major little-endian float64
-# (re, im) pairs
-
-_BINARY_MAGIC = b"HSPB1\x00"
-
-
-def dense_binary_bytes(matrix) -> bytes:
-    m = np.ascontiguousarray(np.asarray(matrix, dtype=complex))
-    if m.ndim != 2:
-        raise SchemaError("dense binary layout stores 2-d matrices")
-    header = _BINARY_MAGIC + np.asarray(m.shape, dtype="<u4").tobytes()
-    interleaved = np.empty(m.shape + (2,), dtype="<f8")
-    interleaved[..., 0] = m.real
-    interleaved[..., 1] = m.imag
-    return header + interleaved.tobytes()
-
-
-def parse_dense_binary(blob: bytes) -> np.ndarray:
-    if blob[: len(_BINARY_MAGIC)] != _BINARY_MAGIC:
-        raise SchemaError("bad magic in dense binary matrix")
-    rows, cols = np.frombuffer(blob, dtype="<u4", count=2, offset=len(_BINARY_MAGIC))
-    offset = len(_BINARY_MAGIC) + 8
-    expected = int(rows) * int(cols) * 16
-    if len(blob) - offset != expected:
-        raise SchemaError("dense binary payload has the wrong length")
-    flat = np.frombuffer(blob, dtype="<f8", offset=offset)
-    pairs = flat.reshape(int(rows), int(cols), 2)
-    return pairs[..., 0] + 1j * pairs[..., 1]
-
-
 def singular_values_csv(svals) -> str:
     lines = ["index,singular_value"]
     lines += [f"{i},{float(s)!r}" for i, s in enumerate(np.asarray(svals, dtype=float))]

@@ -123,8 +123,9 @@ class AtomicMeasure:
     probability: bool = False
 
     def __post_init__(self):
-        points = np.asarray(self.points, dtype=complex)
-        weights = np.asarray(self.weights, dtype=float)
+        # copies: freezing them must not freeze the caller's arrays
+        points = np.array(self.points, dtype=complex)
+        weights = np.array(self.weights, dtype=float)
         object.__setattr__(self, "points", points)
         object.__setattr__(self, "weights", weights)
         if points.ndim != 1 or weights.shape != points.shape or len(points) == 0:
@@ -133,6 +134,8 @@ class AtomicMeasure:
         if not all(0.0 < w < math.inf for w in weights.tolist()):
             raise DegenerateMeasureError("weights must be strictly positive and finite")
         moduli = np.abs(points).tolist()
+        if not all(math.isfinite(r) for r in moduli):
+            raise DegenerateMeasureError("points must be finite")
         m = len(moduli)
         if m > 1:
             close = np.abs(points[:, None] - points) <= DISTINCTNESS_RTOL * max(1.0, *moduli)
@@ -181,6 +184,10 @@ def _check_unimodular(values, what: str):
     return values
 
 
+def _is_circle_probability(m) -> bool:
+    return isinstance(m, AtomicMeasure) and m.circle and m.probability
+
+
 def phase_mode(levels) -> str:
     """The one-atom rule: the measures ``levels`` (``None`` where a level has
     none) are ``"cyclic"`` phases exactly when each is a point mass, and
@@ -216,14 +223,14 @@ class CompactSpectralData:
         if len(rho1) != n:
             raise DegenerateMeasureError(f"expected {n} rho1 measures, got {len(rho1)}")
         for k, m in enumerate(rho):
-            if not (m.circle and m.probability):
+            if not _is_circle_probability(m):
                 raise DegenerateMeasureError(f"rho[{k}] must be a circle probability measure")
         for k, m in enumerate(rho1):
             if k == n - 1 and self.spectrum.has_terminal_zero:
                 if m is not None:
                     raise DegenerateMeasureError("rho1 must be absent at the terminal mu = 0")
                 continue
-            if m is None or not (m.circle and m.probability):
+            if not _is_circle_probability(m):
                 raise DegenerateMeasureError(f"rho1[{k}] must be a circle probability measure")
         object.__setattr__(self, "rho", rho)
         object.__setattr__(self, "rho1", tuple(rho1))

@@ -25,6 +25,15 @@ def rank2_data(rank2_spectrum):
 
 
 @pytest.fixture
+def uncertified():
+    """The N x N truncation of the symbol of ``d`` without the tail check
+    that every explicit N passes in ``hankel_from_data``."""
+    def truncate(d, N):
+        return hs.HankelMatrix.from_gamma(hs.gamma_sequence(hs.assemble(d), 2 * N - 2), N)
+    return truncate
+
+
+@pytest.fixture
 def bundle_corpus():
     """A mixed bag of assembled bundles used by the structural-identity tests."""
     from hankel_spectra.random_data import random_cyclic_data, random_multiplicity_data

@@ -87,11 +87,14 @@ class TestHankelFromData:
 
     def test_truncation_too_small(self, rank2_data):
         with pytest.raises(TruncationTooSmallError):
-            hs.hankel_from_data(rank2_data, N=6, certified=True)
+            hs.hankel_from_data(rank2_data, N=6)
 
-    def test_uncertified_small_truncation_allowed(self, rank2_data):
-        h = hs.hankel_from_data(rank2_data, N=6, certified=False)
+    def test_uncertified_small_truncation_allowed(self, rank2_data, uncertified):
+        # a truncation below the certified N is the leading part of the symbol
+        h = uncertified(rank2_data, 6)
         assert h.N == 6
+        np.testing.assert_allclose(h.gamma, hs.hankel_from_data(rank2_data).gamma[:11],
+                                   rtol=1e-14, atol=1e-15)
 
     def test_auto_truncation_cap(self):
         # a contraction this close to the circle cannot certify within the cap
@@ -144,8 +147,8 @@ class TestOneOrbitWalk:
         for b in bundles:
             c = hs.certified_truncation(b)
             with pytest.raises(TruncationTooSmallError):
-                hs.hankel_from_bundle(b, N=c - 1, certified=True)
-            h = hs.hankel_from_bundle(b, N=c, certified=True)
+                hs.hankel_from_bundle(b, N=c - 1)
+            h = hs.hankel_from_bundle(b, N=c)
             assert h.N == c
             np.testing.assert_array_equal(h.gamma, hs.hankel_from_bundle(b).gamma)
 
@@ -155,20 +158,18 @@ class TestSymbolCrossCheck:
         # a conjugation that fails to fix p breaks the identity between the
         # two symbol formulas, which gamma_sequence refuses
         from hankel_spectra.errors import InternalConsistencyError
-        from hankel_spectra.operator_assembly import assemble_from_operators
+        from hankel_spectra.operator_assembly import _from_operators
 
         b = hs.assemble(rank2_data)
         bad_conjugation = np.diag(np.exp(1j * np.array([0.4, 1.3])))
-        broken = assemble_from_operators(
-            b.R, b.R1, b.p, b.phi, b.phi1, bad_conjugation, b.layout,
-            validate=False)
+        broken = _from_operators(b.R, b.R1, b.p, b.phi, b.phi1, bad_conjugation, b.layout)
         with pytest.raises(InternalConsistencyError):
             hs.gamma_sequence(broken, 10)
 
 
 class TestHankelMatrixIngestion:
-    def test_from_entries_accepts_hankel(self, rank2_data):
-        h = hs.hankel_from_data(rank2_data, N=12, certified=False)
+    def test_from_entries_accepts_hankel(self, rank2_data, uncertified):
+        h = uncertified(rank2_data, 12)
         h2 = hs.HankelMatrix.from_entries(h.entries)
         np.testing.assert_allclose(h2.gamma, h.gamma, atol=1e-14)
 
@@ -338,10 +339,10 @@ class TestRankOneIdentity:
             G.conj().T @ G - GS.conj().T @ GS - np.outer(u, u.conj())))
         assert hs.rank_one_identity_residual(h) == pytest.approx(dense, rel=1e-12, abs=1e-13)
 
-    def test_negative_control(self, rank2_data):
+    def test_negative_control(self, rank2_data, uncertified):
         # the identity holds up to products of tail symbols gamma_{k >= N};
         # an uncertified truncation (certified N is 458) keeps a large tail
-        h = hs.hankel_from_data(rank2_data, N=8, certified=False)
+        h = uncertified(rank2_data, 8)
         assert np.abs(h.gamma[h.N:]).max() > 0.1
         assert hs.rank_one_identity_residual(h) > 1e-3
 
@@ -353,8 +354,8 @@ class TestKernelDiagnostics:
         assert report.sigma_min <= 1e-15
         assert report.nontrivial_kernel
 
-    def test_rank2_at_8(self, rank2_data):
-        h = hs.hankel_from_data(rank2_data, N=8, certified=False)
+    def test_rank2_at_8(self, rank2_data, uncertified):
+        h = uncertified(rank2_data, 8)
         report = hs.kernel_diagnostics(h, n=2)
         assert report.sigma_min <= 1e-10
         assert report.numerical_rank == 2
@@ -377,8 +378,8 @@ class TestKernelDiagnostics:
         assert report.numerical_rank == 3
         assert report.nontrivial_kernel
 
-    def test_requires_margin(self, rank2_data):
-        h = hs.hankel_from_data(rank2_data, N=3, certified=False)
+    def test_requires_margin(self, rank2_data, uncertified):
+        h = uncertified(rank2_data, 3)
         with pytest.raises(TruncationTooSmallError):
             hs.kernel_diagnostics(h, n=2)
 

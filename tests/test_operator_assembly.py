@@ -221,22 +221,75 @@ class TestStabilityOperator:
         assert np.all(svals < 1.0)
 
 
+def _jp_worst(b):
+    """The largest residual among the laws of the conjugation Jp."""
+    return max(res for name, (res, _) in hs.bundle_residuals(b).items() if "Jp" in name)
+
+
 class TestConjugation:
     def test_rank1_residuals_zero(self, rank1_data):
-        report = hs.conjugation_check(hs.assemble(rank1_data))
-        assert max(report.values()) <= 1e-14
+        assert _jp_worst(hs.assemble(rank1_data)) <= 1e-14
 
     def test_complex_phases(self, rank2_spectrum):
         d = hs.CompactSpectralData.cyclic(rank2_spectrum, [1j, -1.0], [np.exp(0.3j), 0.0])
-        report = hs.conjugation_check(hs.assemble(d))
-        assert max(report.values()) <= 1e-12
+        assert _jp_worst(hs.assemble(d)) <= 1e-12
 
     def test_inner_product_flip_on_multiplicity(self):
+        # <y, Jp x> = <x, Jp y> for all x, y means C = C^T, which the table
+        # does not list: it follows from C unitary and involutive
         rng = np.random.default_rng(41)
-        d = random_multiplicity_data(rng, 2, max_atoms=3)
-        report = hs.conjugation_check(hs.assemble(d), trials=50)
-        assert report["inner_product_flip"] <= 1e-12
-        assert max(report.values()) <= 1e-12
+        b = hs.assemble(random_multiplicity_data(rng, 2, max_atoms=3))
+        assert _jp_worst(b) <= 1e-12
+        x, y = rng.standard_normal((2, b.dim)) + 1j * rng.standard_normal((2, b.dim))
+        assert abs(np.vdot(y, b.conjugate(x)) - np.vdot(x, b.conjugate(y))) <= 1e-12
+        assert np.linalg.norm(b.Jp - b.Jp.T) <= 1e-12
+
+
+class TestLawTable:
+    """``bundle_residuals`` is the one statement of the bundle's laws, and
+    validation refuses the first row over its bound."""
+
+    LAWS = ["R hermitian", "rank-one relation", "phi unitary", "phi commutes with R",
+            "phi1 commutes with R1", "defect identity", "Jp involutive", "Jp fixes p",
+            "phi Jp-symmetric", "phi1 Jp-symmetric", "phi1 partial isometry",
+            "Jp unitary", "Jp commutes with R", "Jp commutes with R1"]
+
+    def test_rows_hold_on_built_bundles(self, bundle_corpus):
+        for b in bundle_corpus:
+            table = hs.bundle_residuals(b)
+            assert list(table) == self.LAWS
+            assert all(res <= bound for res, bound in table.values())
+            # the builder's C is the identity and its R and R1 are real
+            assert all(table[law][0] == 0.0 for law in self.LAWS[-3:])
+
+    @pytest.fixture
+    def plain(self):
+        # every phase 1 and no terminal zero: phi = phi1 = I, so any real
+        # involution that fixes p is phi- and phi1-symmetric
+        s = hs.validate_intertwining([2.0, 1.0], [1.4, 0.6])
+        return hs.assemble(hs.CompactSpectralData.cyclic(s, [1, 1], [1, 1]))
+
+    def _refused(self, b, C, law):
+        assert np.linalg.norm(C @ C - np.eye(b.dim)) <= 1e-14
+        assert np.linalg.norm(C @ b.p.real - b.p.real) <= 1e-14
+        with pytest.raises(BundleInvariantError,
+                           match=rf"bundle violates: {law} \(residual \S+ > bound \S+\)"):
+            assemble_from_operators(b.R, b.R1, b.p, b.phi, b.phi1, C, b.layout)
+
+    def test_jp_not_commuting_with_R_refused(self, plain):
+        # a reflection across p: unitary, involutive, fixes p, but mixes the
+        # eigenvectors of R
+        w = np.array([plain.p[1].real, -plain.p[0].real])
+        w /= np.linalg.norm(w)
+        C = np.eye(2) - 2.0 * np.outer(w, w)
+        self._refused(plain, C, "Jp commutes with R")
+
+    def test_non_unitary_jp_refused(self, plain):
+        # an oblique reflection fixing p: involutive, but not unitary
+        z = np.array([plain.p[1].real, -plain.p[0].real])
+        w = np.array([1.0, 0.0])
+        C = np.eye(2) - 2.0 * np.outer(w, z) / (z @ w)
+        self._refused(plain, C, "Jp unitary")
 
 
 class TestGaugeRotation:
@@ -248,7 +301,7 @@ class TestGaugeRotation:
         rotated = assemble_from_operators(
             b.R, b.R1, b.p, b.phi @ psi.conj().T, b.phi1 @ psi.conj().T,
             psi @ b.Jp, b.layout)
-        assert max(hs.conjugation_check(rotated).values()) <= 1e-11
+        assert _jp_worst(rotated) <= 1e-11
 
     def test_unrotated_conjugation_rejected(self):
         # forgetting to rotate Jp with phi breaks the symmetry laws

@@ -43,8 +43,8 @@ class TestSchemas:
         doc = serialize.emit_spectral_data(d)
         assert serialize.emit_spectral_data(serialize.parse_spectral_data(doc)) == doc
 
-    def test_hankel_roundtrip(self, rank2_data):
-        h = hs.hankel_from_data(rank2_data, N=8, certified=False)
+    def test_hankel_roundtrip(self, rank2_data, uncertified):
+        h = uncertified(rank2_data, 8)
         doc = serialize.emit_hankel(h)
         back = serialize.parse_hankel(doc)
         np.testing.assert_array_equal(back.entries, h.entries)
@@ -70,16 +70,6 @@ class TestSchemas:
         theta = hs.BlaschkeProduct(zeros=[0.0, 0.3 + 0.1j], constant=np.exp(0.2j))
         doc = serialize.emit_blaschke(theta)
         assert serialize.emit_blaschke(serialize.parse_blaschke(doc)) == doc
-
-    def test_dense_binary_roundtrip(self, rank2_data):
-        h = hs.hankel_from_data(rank2_data, N=6, certified=False)
-        blob = serialize.dense_binary_bytes(h.entries)
-        back = serialize.parse_dense_binary(blob)
-        np.testing.assert_array_equal(back, h.entries)
-        with pytest.raises(SchemaError):
-            serialize.parse_dense_binary(b"not a matrix")
-        with pytest.raises(SchemaError):
-            serialize.parse_dense_binary(blob[:-8])
 
     def test_schema_violations(self):
         with pytest.raises(SchemaError):

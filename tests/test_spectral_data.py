@@ -232,6 +232,21 @@ class TestAtomicMeasure:
         with pytest.raises(DegenerateMeasureError):
             hs.AtomicMeasure([1.0 + 0j], [0.7], probability=True)
 
+    @pytest.mark.parametrize("z", [complex("nan"), complex(1.0, float("nan")),
+                                   complex("inf")])
+    def test_rejects_non_finite_point(self, z):
+        with pytest.raises(DegenerateMeasureError, match="finite"):
+            hs.AtomicMeasure([z], [1.0], circle=True, probability=True)
+
+    def test_caller_arrays_stay_writeable(self):
+        p = np.array([1.0 + 0j, -1.0 + 0j])
+        w = np.array([0.25, 0.75])
+        m = hs.AtomicMeasure(p, w, circle=True, probability=True)
+        assert p.flags.writeable and w.flags.writeable
+        assert not (m.points.flags.writeable or m.weights.flags.writeable)
+        p[0] = 1j
+        assert m.points[0] == 1.0
+
     def test_canonical_sort_circle(self):
         m = hs.AtomicMeasure([-1.0 + 0j, 1.0 + 0j], [0.25, 0.75],
                              circle=True, probability=True)
@@ -301,3 +316,15 @@ class TestPointMasses:
                                  ([delta, delta], [None, None], r"rho1\[0\] must")):
             with pytest.raises(DegenerateMeasureError, match=match):
                 hs.CompactSpectralData(rank2_spectrum, rho, rho1)
+
+    @pytest.mark.parametrize("entry", [None, (1.0, 1.0)])
+    def test_constructor_refuses_non_measures(self, rank2_spectrum, entry):
+        delta = hs.AtomicMeasure.point_mass(1.0)
+        s1 = hs.validate_intertwining([1.0], [0.0])
+        for spectrum, rho, rho1, match in ((s1, [entry], [], r"rho\[0\] must"),
+                                           (rank2_spectrum, [delta, entry], [delta],
+                                            r"rho\[1\] must"),
+                                           (rank2_spectrum, [delta, delta], [entry],
+                                            r"rho1\[0\] must")):
+            with pytest.raises(DegenerateMeasureError, match=match):
+                hs.CompactSpectralData(spectrum, rho, rho1)
