@@ -25,7 +25,6 @@ from .spectral_data import AtomicMeasure
 ORIGIN_TOL = 1e-12
 ROOT_CIRCLE_TOL = 1e-10
 CONSTANT_TOL = 1e-6
-REFINE_SAMPLES_MIN = 8
 
 
 @dataclass(frozen=True, eq=False)
@@ -94,8 +93,8 @@ def clark_measure(theta: BlaschkeProduct) -> AtomicMeasure:
 
     Support: the deg(theta) solutions of theta = 1 on the circle, found as
     companion-matrix roots of numerator - denominator with one Newton step of
-    polish.  Weights: 1/|theta'| as initializer, refined in least squares
-    against the defining integral identity when that improves the fit.
+    polish.  Weights: 1/|theta'| at each atom, the exact Clark weights when
+    theta(0) = 0.
     """
     if not theta.vanishes_at_origin:
         raise ThetaAtOriginNonzeroError("theta(0) != 0: no zero at the origin")
@@ -115,30 +114,7 @@ def clark_measure(theta: BlaschkeProduct) -> AtomicMeasure:
             f"solution of theta = 1 lies {off.max():.3e} off the circle")
     roots = roots / np.abs(roots)
     weights = 1.0 / np.abs(theta.derivative(roots))
-    measure = AtomicMeasure(points=roots, weights=weights, circle=True, probability=True)
-
-    n = theta.degree
-    samples = _refinement_samples(max(2 * n, REFINE_SAMPLES_MIN))
-    target = (1.0 + theta(samples)) / (1.0 - theta(samples))
-    res0 = float(np.abs(_herglotz_sum(measure, samples) - target).max())
-    if res0 > 1e-12:
-        kernel = (1.0 + samples[:, None] * np.conj(roots)) / (1.0 - samples[:, None] * np.conj(roots))
-        A = np.vstack([kernel.real, kernel.imag])
-        b = np.concatenate([target.real, target.imag])
-        refined, *_ = np.linalg.lstsq(A, b, rcond=None)
-        if np.all(refined > 0):
-            candidate = AtomicMeasure(points=roots, weights=refined, circle=True, probability=True)
-            res1 = float(np.abs(_herglotz_sum(candidate, samples) - target).max())
-            if res1 < res0:
-                measure = candidate
-    return measure
-
-
-def _refinement_samples(m: int) -> np.ndarray:
-    """Deterministic sample points in the disk, away from the circle."""
-    k = np.arange(m)
-    radii = 0.35 + 0.3 * (k % 3) / 2.0
-    return radii * np.exp(2j * np.pi * (k + 0.37) / m)
+    return AtomicMeasure(points=roots, weights=weights, circle=True, probability=True)
 
 
 def inner_from_measure(rho: AtomicMeasure) -> BlaschkeProduct:

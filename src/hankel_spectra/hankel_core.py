@@ -82,15 +82,13 @@ class HankelMatrix:
     N: int
 
     @classmethod
-    def from_gamma(cls, gamma, N: int | None = None) -> "HankelMatrix":
-        gamma = np.asarray(gamma, dtype=complex)
-        if N is None:
-            if len(gamma) % 2 == 0:
-                gamma = np.concatenate([gamma, [0j]])
-            N = (len(gamma) + 1) // 2
-        if len(gamma) < 2 * N - 1:
-            gamma = np.concatenate([gamma, np.zeros(2 * N - 1 - len(gamma), dtype=complex)])
-        gamma = gamma[: 2 * N - 1].copy()
+    def from_gamma(cls, gamma, N: int) -> "HankelMatrix":
+        """The truncation of order ``N`` from exactly 2N - 1 values of gamma;
+        any other count raises ValueError, never a silent pad or cut."""
+        gamma = np.array(gamma, dtype=complex)
+        if gamma.shape != (2 * N - 1,):
+            raise ValueError(f"N = {N} needs 2N - 1 = {2 * N - 1} gamma values, "
+                             f"got shape {gamma.shape}")
         gamma.setflags(write=False)
         return cls(gamma=gamma, N=N)
 

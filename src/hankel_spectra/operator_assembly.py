@@ -66,6 +66,15 @@ class BlockLayout:
     lam_blocks: tuple
     mu_blocks: tuple
 
+    @classmethod
+    def from_sizes(cls, lam, mu, lam_sizes, mu_sizes) -> "BlockLayout":
+        """The layout whose blocks are consecutive runs of these sizes: every
+        lambda block in level order, then every mu block."""
+        sizes = list(lam_sizes) + list(mu_sizes)
+        blocks = tuple(tuple(range(e - m, e)) for e, m in zip(np.cumsum(sizes).tolist(), sizes))
+        return cls(lam=tuple(float(v) for v in lam), mu=tuple(float(v) for v in mu),
+                   lam_blocks=blocks[:len(lam_sizes)], mu_blocks=blocks[len(lam_sizes):])
+
     @property
     def dim(self) -> int:
         return sum(len(b) for b in self.lam_blocks) + sum(len(b) for b in self.mu_blocks)
@@ -361,14 +370,7 @@ def _build(d: CompactSpectralData) -> OperatorBundle:
     s = d.spectrum
     lam_sizes = [len(m.points) for m in d.rho]
     mu_sizes = [0 if m is None else len(m.points) - 1 for m in d.rho1]
-    lam_ends = np.cumsum(lam_sizes)
-    mu_ends = lam_ends[-1] + np.cumsum(mu_sizes)
-    layout = BlockLayout(
-        lam=tuple(float(v) for v in s.lam),
-        mu=tuple(float(v) for v in s.mu),
-        lam_blocks=tuple(tuple(range(e - m, e)) for e, m in zip(lam_ends, lam_sizes)),
-        mu_blocks=tuple(tuple(range(e - m, e)) for e, m in zip(mu_ends, mu_sizes)),
-    )
+    layout = BlockLayout.from_sizes(s.lam, s.mu, lam_sizes, mu_sizes)
     dim = layout.dim
     r = np.repeat(np.concatenate([s.lam, s.mu]), lam_sizes + mu_sizes)
     h0 = list(layout.h0_indices)

@@ -9,8 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import BundleInvariantError
-from .operator_assembly import BlockLayout, _build, _validate_bundle
+from .operator_assembly import BlockLayout, _build
 from .spectral_data import (
     AtomicMeasure,
     CompactSpectralData,
@@ -42,31 +41,26 @@ def random_phases(rng: np.random.Generator, n: int) -> np.ndarray:
     return np.exp(2j * np.pi * rng.random(n))
 
 
-def _guarded(draw, max_contraction: float | None, tries: int = 64) -> CompactSpectralData:
-    """Redraw until the model contraction decays fast enough to certify a
-    truncation within the size cap; keeps batch trials bounded.  Sigma* is
-    read off the unchecked bundle; only a candidate that could be returned
-    (within the bound, or the best so far) has its invariants checked, and one
-    that fails them is rejected like a slow one."""
+# Candidates the contraction guard draws before it returns the best one.
+GUARD_TRIES = 64
+
+
+def _guarded(draw, max_contraction: float | None) -> CompactSpectralData:
+    """The first draw whose Sigma* has spectral radius within
+    ``max_contraction``, else the smallest radius of GUARD_TRIES draws (the
+    first of equals); keeps certified truncations, and so batch trials,
+    bounded.  The radius is read off the unchecked bundle: the guard checks no
+    law, since ``assemble``, which every consumer of the data runs, does."""
     if max_contraction is None:
         return draw()
-    best, best_r, refusal = None, np.inf, None
-    for _ in range(tries):
+    best, best_r = None, np.inf
+    for _ in range(GUARD_TRIES):
         d = draw()
-        bundle = _build(d)
-        r = float(np.abs(np.linalg.eigvals(bundle.sigma_star)).max())
-        if r > max_contraction and r >= best_r:
-            continue
-        try:
-            _validate_bundle(bundle)
-        except BundleInvariantError as exc:
-            refusal = exc
-            continue
+        r = float(np.abs(np.linalg.eigvals(_build(d).sigma_star)).max())
         if r <= max_contraction:
             return d
-        best, best_r = d, r
-    if best is None:
-        raise refusal
+        if r < best_r:
+            best, best_r = d, r
     return best
 
 

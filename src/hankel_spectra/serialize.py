@@ -367,13 +367,33 @@ def emit_layout(layout: BlockLayout) -> dict:
     }
 
 
+def _parse_blocks(doc: dict, key: str, n: int) -> list:
+    blocks = _require(doc, key, "bundle.v1 layout")
+    if (not isinstance(blocks, list) or len(blocks) != n
+            or not all(isinstance(b, list) and all(type(i) is int for i in b) for b in blocks)):
+        raise SchemaError(f"bundle.v1 layout: {key} must be {n} lists of integer indices, "
+                          f"one per level")
+    return blocks
+
+
 def parse_layout(doc: dict) -> BlockLayout:
-    return BlockLayout(
-        lam=tuple(_parse_fvec(_require(doc, "lam", "bundle.v1 layout"), "layout lam").tolist()),
-        mu=tuple(_parse_fvec(_require(doc, "mu", "bundle.v1 layout"), "layout mu").tolist()),
-        lam_blocks=tuple(tuple(b) for b in _require(doc, "lam_blocks", "bundle.v1 layout")),
-        mu_blocks=tuple(tuple(b) for b in _require(doc, "mu_blocks", "bundle.v1 layout")),
-    )
+    """The layout, checked: ``lam`` and ``mu`` interlace, both sides hold one
+    entry per level, and the blocks are the layout rebuilt from their sizes,
+    every lambda block nonempty."""
+    lam = _parse_fvec(_require(doc, "lam", "bundle.v1 layout"), "layout lam")
+    mu = _parse_fvec(_require(doc, "mu", "bundle.v1 layout"), "layout mu")
+    if len(mu) != len(lam):
+        raise SchemaError(f"bundle.v1 layout: {len(lam)} lam levels but {len(mu)} mu values")
+    spectrum = validate_intertwining(lam, mu)
+    lam_blocks = _parse_blocks(doc, "lam_blocks", spectrum.n)
+    mu_blocks = _parse_blocks(doc, "mu_blocks", spectrum.n)
+    layout = BlockLayout.from_sizes(spectrum.lam, spectrum.mu,
+                                    [len(b) for b in lam_blocks], [len(b) for b in mu_blocks])
+    given = (tuple(map(tuple, lam_blocks)), tuple(map(tuple, mu_blocks)))
+    if not all(lam_blocks) or given != (layout.lam_blocks, layout.mu_blocks):
+        raise SchemaError("bundle.v1 layout: the blocks must be consecutive runs of indices "
+                          "from 0, every lambda block before the mu blocks and nonempty")
+    return layout
 
 
 def emit_bundle(b: OperatorBundle) -> dict:
@@ -393,15 +413,18 @@ def emit_bundle(b: OperatorBundle) -> dict:
 def parse_bundle(doc: dict) -> OperatorBundle:
     _check_schema(doc, "bundle.v1")
     layout = parse_layout(_require(doc, "layout", "bundle.v1"))
-    return assemble_from_operators(
-        R=_parse_cmat(_require(doc, "R", "bundle.v1"), "R"),
-        R1=_parse_cmat(_require(doc, "R1", "bundle.v1"), "R1"),
-        p=_parse_cvec(_require(doc, "p", "bundle.v1"), "p"),
-        phi=_parse_cmat(_require(doc, "phi", "bundle.v1"), "phi"),
-        phi1=_parse_cmat(_require(doc, "phi1", "bundle.v1"), "phi1"),
-        C=_parse_cmat(_require(doc, "Jp", "bundle.v1"), "Jp"),
-        layout=layout,
-    )
+    p = _parse_cvec(_require(doc, "p", "bundle.v1"), "p")
+    dim = _require(doc, "dim", "bundle.v1")
+    if type(dim) is not int or dim != len(p) or layout.dim != len(p):
+        raise SchemaError(f"bundle.v1: dim {dim!r} and the layout's {layout.dim} indices "
+                          f"must both equal len(p) = {len(p)}")
+    ops = {key: _parse_cmat(_require(doc, key, "bundle.v1"), key)
+           for key in ("R", "R1", "phi", "phi1", "Jp")}
+    for key, M in ops.items():
+        if M.shape != (dim, dim):
+            raise SchemaError(f"bundle.v1: {key} must be {dim} x {dim}, got {M.shape}")
+    return assemble_from_operators(ops["R"], ops["R1"], p, ops["phi"], ops["phi1"],
+                                   ops["Jp"], layout)
 
 
 # stability.v1

@@ -17,7 +17,7 @@ from hankel_spectra.random_data import (
     random_admissible_commutant,
     random_multiplicity_data,
 )
-from hankel_spectra.serialize import emit_bundle, parse_bundle
+from hankel_spectra.serialize import emit_bundle, emit_spectral_data, parse_bundle
 
 
 def numerical_phi_derivative(s, x, h=1e-6):
@@ -316,97 +316,48 @@ class TestGaugeRotation:
                                     b.phi1 @ psi.conj().T, b.Jp, b.layout)
 
 
-def _radius(d):
-    return float(np.abs(np.linalg.eigvals(hs.assemble(d).sigma_star)).max())
-
-
-def _reference_guarded(draw, max_contraction, tries=64):
-    """The contraction guard as it was before it skipped the invariant check
-    of candidates it cannot return: every candidate is assembled and checked."""
-    if max_contraction is None:
-        return draw()
-    best, best_r, refusal = None, np.inf, None
-    for _ in range(tries):
-        d = draw()
-        try:
-            r = _radius(d)
-        except BundleInvariantError as exc:
-            refusal = exc
-            continue
-        if r <= max_contraction:
-            return d
-        if r < best_r:
-            best, best_r = d, r
-    if best is None:
-        raise refusal
-    return best
-
-
 class TestGeneratorGuard:
-    @pytest.mark.parametrize("generate", ["random_cyclic_data", "random_multiplicity_data"])
-    def test_invariant_failure_rejects_the_draw(self, monkeypatch, generate):
-        # a candidate whose bundle fails its invariants is skipped like a slow
-        # one, and the next candidate comes from the same random stream
+    def test_first_within_bound_else_smallest(self, monkeypatch):
+        # candidates are stubbed by their radius: the guard measures Sigma*
+        # and nothing else, and stops drawing once a candidate is accepted
+        from types import SimpleNamespace
+
         from hankel_spectra import random_data
+
+        monkeypatch.setattr(random_data, "_build",
+                            lambda r: SimpleNamespace(sigma_star=np.array([[r]])))
+
+        def guarded(radii):
+            stream = iter(radii)
+            got = random_data._guarded(stream.__next__, 0.97)
+            return got, len(list(stream))
+
+        assert guarded([0.99, 0.98, 0.96, 0.5]) == (0.96, 1)
+        tries = random_data.GUARD_TRIES
+        slow = [0.99] * tries
+        slow[5] = slow[9] = 0.975
+        assert guarded(slow + [0.1]) == (0.975, 1)
+        assert random_data._guarded(iter([0.99]).__next__, None) == 0.99
+
+    @pytest.mark.parametrize("generate", ["random_cyclic_data", "random_multiplicity_data"],
+                             ids=["cyclic", "multiplicity"])
+    def test_assemble_refuses_broken_draw(self, monkeypatch, generate):
+        # the guard checks no law: a draw is returned as drawn, and a broken
+        # law surfaces where the bundle is assembled
+        from hankel_spectra import operator_assembly, random_data
 
         make = getattr(random_data, generate)
-        rng = np.random.default_rng(23)
-        make(rng, 3, terminal_zero=False)                 # the first candidate
-        second = make(rng, 3, terminal_zero=False)
-        assert _radius(second) <= 0.97
+        expected = make(np.random.default_rng(23), 3, max_contraction=0.97)
 
-        real = random_data._validate_bundle
-        calls = []
-
-        def validate(b):
-            calls.append(b)
-            if len(calls) == 1:
-                raise BundleInvariantError("bundle violates: phi1 partial isometry")
-            return real(b)
-
-        monkeypatch.setattr(random_data, "_validate_bundle", validate)
-        got = make(np.random.default_rng(23), 3, terminal_zero=False, max_contraction=0.97)
-        assert len(calls) == 2
-        np.testing.assert_array_equal(got.spectrum.lam, second.spectrum.lam)
-        np.testing.assert_array_equal(got.spectrum.mu, second.spectrum.mu)
-
-    def test_all_draws_refused_raises(self, monkeypatch):
-        from hankel_spectra import random_data
-
-        def validate(b):
+        def refuse(b):
             raise BundleInvariantError("bundle violates: phi1 partial isometry")
 
-        monkeypatch.setattr(random_data, "_validate_bundle", validate)
+        monkeypatch.setattr(random_data, "_validate_bundle", refuse, raising=False)
+        got = make(np.random.default_rng(23), 3, max_contraction=0.97)
+        assert emit_spectral_data(got) == emit_spectral_data(expected)
+        monkeypatch.setattr(operator_assembly, "_validate_bundle", refuse)
         with pytest.raises(BundleInvariantError):
-            random_data.random_cyclic_data(np.random.default_rng(0), 2, max_contraction=0.97)
-
-    def test_same_draws_as_checking_every_candidate(self, monkeypatch):
-        # checking only the candidates that could be returned accepts the
-        # same draw as checking every one; both guards see one stream of
-        # candidates, and at multiplicity n = 11-12 every case runs all 64
-        from hankel_spectra import random_data
-
-        guarded = random_data._guarded
-        outcomes = []
-
-        def both(draw, max_contraction, tries=64):
-            candidates = [draw() for _ in range(tries)]
-            got = guarded(iter(candidates).__next__, max_contraction, tries)
-            ref = _reference_guarded(iter(candidates).__next__, max_contraction, tries)
-            assert got is ref
-            outcomes.append(_radius(got) <= max_contraction)
-            return got
-
-        monkeypatch.setattr(random_data, "_guarded", both)
-        for seed in range(2000, 2010):
-            for n in (14, 15, 16):
-                random_data.random_cyclic_data(np.random.default_rng(seed), n,
-                                               max_contraction=0.99)
-            for n in (10, 11, 12):
-                random_data.random_multiplicity_data(np.random.default_rng(seed), n,
-                                                     max_atoms=3, max_contraction=0.97)
-        assert len(outcomes) == 60
-        assert 0 < sum(outcomes) < 60     # both the accepting and the best-of path
+            hs.assemble(got)
 
 
 class TestSigmaStarOrbit:

@@ -91,11 +91,40 @@ class TestSchemas:
         with pytest.raises(SchemaError):
             serialize.loads("{not json")
 
-    def test_from_gamma_infers_truncation(self):
-        h = hs.HankelMatrix.from_gamma([1.0, 2.0, 3.0])       # odd: N = 2
-        assert h.N == 2 and h.entries[1, 1] == 3.0
-        h = hs.HankelMatrix.from_gamma([1.0, 2.0, 3.0, 4.0])  # even: padded
-        assert h.N == 3 and h.entries[2, 2] == 0.0
+    @pytest.mark.parametrize("gamma, N", [
+        ([1.0, 2.0, 3.0], 3),       # too short: was zero-padded to 5 values
+        ([1.0, 2.0, 3.0, 4.0], 2),  # too long: was cut to 3 values
+        ([[1.0, 2.0, 3.0]], 2),     # not a flat sequence
+    ], ids=["padded", "cut", "not_flat"])
+    def test_from_gamma_takes_exactly_2N_minus_1_values(self, gamma, N):
+        with pytest.raises(ValueError):
+            hs.HankelMatrix.from_gamma(gamma, N)
+        assert hs.HankelMatrix.from_gamma([1.0, 2.0, 3.0], 2).entries[1, 1] == 3.0
+
+
+def _set_layout(key, value):
+    return lambda doc: doc["layout"].__setitem__(key, value(doc["layout"]))
+
+
+@pytest.mark.parametrize("corrupt", [
+    _set_layout("lam_blocks", lambda lay: [[0], [5]]),              # index out of range
+    _set_layout("lam_blocks", lambda lay: [[0], [1.0]]),            # non-integer index
+    _set_layout("lam_blocks", lambda lay: 5),
+    _set_layout("mu", lambda lay: lay["mu"][:1]),                   # shorter than lam
+    _set_layout("mu_blocks", lambda lay: lay["mu_blocks"][:1]),
+    _set_layout("lam", lambda lay: []),
+    lambda doc: doc.__setitem__("dim", 3),
+    lambda doc: doc.__setitem__("R", [[[1.0, 0.0]]]),               # 1 x 1 in a dim 2 bundle
+], ids=["index_out_of_range", "non_integer_index", "blocks_not_a_list", "mu_short",
+        "mu_blocks_short", "lam_empty", "wrong_dim", "matrix_shape"])
+def test_stability_refuses_malformed_bundle_layout(tmp_path, capsys, rank2_data, corrupt):
+    doc = serialize.emit_bundle(hs.assemble(rank2_data))
+    corrupt(doc)
+    path = tmp_path / "bundle.json"
+    path.write_text(serialize.dumps(doc))
+    rc = main(["stability", "--input", str(path), "--output", str(tmp_path / "out")])
+    assert rc == 2
+    assert json.loads(capsys.readouterr().err.strip())["error"] == "Schema"
 
 
 class TestCli:
