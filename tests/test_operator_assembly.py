@@ -325,19 +325,19 @@ class TestGeneratorGuard:
         from hankel_spectra import random_data
 
         monkeypatch.setattr(random_data, "_build",
-                            lambda r: SimpleNamespace(sigma_star=np.array([[r]])))
+                            lambda c: SimpleNamespace(sigma_star=np.array([[c[1]]])))
 
         def guarded(radii):
-            stream = iter(radii)
+            # returns the index of the candidate taken and how many were left undrawn
+            stream = iter(list(enumerate(radii)))
             got = random_data._guarded(stream.__next__, 0.97)
-            return got, len(list(stream))
+            return got[0], len(list(stream))
 
-        assert guarded([0.99, 0.98, 0.96, 0.5]) == (0.96, 1)
-        tries = random_data.GUARD_TRIES
-        slow = [0.99] * tries
+        assert guarded([0.99, 0.98, 0.96, 0.5]) == (2, 1)
+        slow = [0.99] * random_data.GUARD_TRIES
         slow[5] = slow[9] = 0.975
-        assert guarded(slow + [0.1]) == (0.975, 1)
-        assert random_data._guarded(iter([0.99]).__next__, None) == 0.99
+        assert guarded(slow + [0.1]) == (5, 1)
+        assert random_data._guarded(iter([(0, 0.99)]).__next__, None) == (0, 0.99)
 
     @pytest.mark.parametrize("generate", ["random_cyclic_data", "random_multiplicity_data"],
                              ids=["cyclic", "multiplicity"])
