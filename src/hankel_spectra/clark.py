@@ -11,6 +11,7 @@ the circle used by the per-level phase measures.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from numpy.polynomial import polynomial as P
@@ -35,13 +36,16 @@ class BlaschkeProduct:
     constant: complex = 1.0 + 0j
 
     def __post_init__(self):
-        zeros = np.asarray(self.zeros, dtype=complex)
+        # a copy: freezing it must not freeze the caller's array
+        zeros = np.array(self.zeros, dtype=complex)
         if zeros.ndim != 1 or len(zeros) == 0:
             raise DegenerateMeasureError("a Blaschke product needs at least one zero")
-        if np.any(np.abs(zeros) >= 1.0):
-            raise RootOffCircleError("Blaschke zeros must lie strictly inside the disk")
+        # written so that a NaN zero or constant fails the test
+        if not np.all(np.abs(zeros) < 1.0):
+            raise RootOffCircleError(
+                "Blaschke zeros must be finite and lie strictly inside the disk")
         c = complex(self.constant)
-        if abs(abs(c) - 1.0) > ROOT_CIRCLE_TOL:
+        if not abs(abs(c) - 1.0) <= ROOT_CIRCLE_TOL:
             raise RootOffCircleError(f"|constant| = {abs(c)} is not 1")
         zeros.setflags(write=False)
         object.__setattr__(self, "zeros", zeros)
@@ -55,13 +59,27 @@ class BlaschkeProduct:
     def vanishes_at_origin(self) -> bool:
         return bool(np.any(np.abs(self.zeros) <= ORIGIN_TOL))
 
+    @cached_property
+    def _coefficients(self):
+        """``(num, den, num', den')``, read-only, derived once per product."""
+        # polyfromroots: the sorted roots' linear factors multiplied pairwise
+        factors = [np.array([-r, 1.0]) for r in np.sort(self.zeros)]
+        while len(factors) > 1:
+            m, odd = divmod(len(factors), 2)
+            tmp = [_mul(factors[i], factors[i + m]) for i in range(m)]
+            if odd:
+                tmp[0] = _mul(tmp[0], factors[-1])
+            factors = tmp
+        num = self.constant * factors[0]
+        den = _prod_one_minus(np.conj(self.zeros))
+        out = (num, den, _der(num), _der(den))
+        for c in out:
+            c.setflags(write=False)
+        return out
+
     def as_rational(self):
         """Coefficient vectors (low to high degree) of numerator and denominator."""
-        num = self.constant * P.polyfromroots(self.zeros)
-        den = np.asarray([1.0 + 0j])
-        for z in self.zeros:
-            den = P.polymul(den, [1.0, -np.conj(z)])
-        return num, den
+        return self._coefficients[:2]
 
     def __call__(self, z):
         z = np.asarray(z, dtype=complex)
@@ -71,14 +89,62 @@ class BlaschkeProduct:
         return out if out.shape else complex(out)
 
     def derivative(self, z):
-        num, den = self.as_rational()
+        num, den, dnum, dden = self._coefficients
         z = np.asarray(z, dtype=complex)
-        nv = P.polyval(z, num)
-        dv = P.polyval(z, den)
-        npv = P.polyval(z, P.polyder(num))
-        dpv = P.polyval(z, P.polyder(den))
-        out = (npv * dv - nv * dpv) / dv**2
+        dv = _horner(den, z)
+        out = (_horner(dnum, z) * dv - _horner(num, z) * _horner(dden, z)) / dv**2
         return out if out.shape else complex(out)
+
+
+# Coefficient arithmetic on complex arrays, low to high degree.  _trim, _mul,
+# _add, _der and _horner do what numpy.polynomial's trimseq, polymul, polyadd,
+# polyder and polyval do, operation for operation and with the same trim of
+# trailing zero coefficients on inputs and results, so results agree bit for
+# bit.  They skip the argument validation, which inner_from_measure would
+# otherwise pay on O(n^2) products.
+
+def _trim(c: np.ndarray) -> np.ndarray:
+    """``c`` without trailing zero coefficients, keeping at least one."""
+    n = len(c)
+    while n > 1 and c[n - 1] == 0:
+        n -= 1
+    return c[:n]
+
+
+def _mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return _trim(np.convolve(_trim(a), _trim(b)))
+
+
+def _add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    a, b = _trim(a), _trim(b)
+    if len(a) > len(b):
+        a, b = b, a
+    out = b.copy()
+    out[:len(a)] += a
+    return _trim(out)
+
+
+def _prod_one_minus(c: np.ndarray) -> np.ndarray:
+    """``prod_j (1 - c_j z)``, one factor at a time in the order of ``c``."""
+    out = np.ones(1, dtype=complex)
+    for cj in c:
+        out = _mul(out, np.array([1.0, -cj]))
+    return out
+
+
+def _der(c: np.ndarray) -> np.ndarray:
+    """``polyder``: coefficient j of the derivative is ``(j + 1) * c[j + 1]``."""
+    if len(c) == 1:
+        return c[:1] * 0
+    return np.array([j * c[j] for j in range(1, len(c))])
+
+
+def _horner(c: np.ndarray, x):
+    """``polyval``: Horner's rule from the leading coefficient down."""
+    c0 = c[-1] + x * 0
+    for a in c[-2::-1]:
+        c0 = a + c0 * x
+    return c0
 
 
 def _herglotz_sum(rho: AtomicMeasure, z):
@@ -99,8 +165,7 @@ def clark_measure(theta: BlaschkeProduct) -> AtomicMeasure:
     if not theta.vanishes_at_origin:
         raise ThetaAtOriginNonzeroError("theta(0) != 0: no zero at the origin")
     num, den = theta.as_rational()
-    diff = P.polysub(num, den)
-    roots = P.polyroots(diff)
+    roots = P.polyroots(_add(num, -den))
     if len(roots) != theta.degree:
         raise RootOffCircleError(
             f"expected {theta.degree} solutions of theta = 1, found {len(roots)}")
@@ -130,18 +195,17 @@ def inner_from_measure(rho: AtomicMeasure) -> BlaschkeProduct:
     xi = rho.points
     w = rho.weights
     n = len(xi)
-    den_poly = np.asarray([1.0 + 0j])
-    for x in xi:
-        den_poly = P.polymul(den_poly, [1.0, -np.conj(x)])
-    p_poly = np.zeros(n + 1, dtype=complex)
+    xc = np.conj(xi)
+    den_poly = _prod_one_minus(xc)
+    p_poly = np.zeros(1, dtype=complex)
     for j in range(n):
-        term = np.asarray([w[j], w[j] * np.conj(xi[j])])
+        term = np.array([w[j], w[j] * xc[j]])
         for i in range(n):
             if i != j:
-                term = P.polymul(term, [1.0, -np.conj(xi[i])])
-        p_poly = P.polyadd(p_poly, term)
-    num = P.polysub(p_poly, den_poly)
-    den = P.polyadd(p_poly, den_poly)
+                term = _mul(term, np.array([1.0, -xc[i]]))
+        p_poly = _add(p_poly, term)
+    num = _add(p_poly, -den_poly)
+    den = _add(p_poly, den_poly)
 
     zeros = P.polyroots(num)
     if len(zeros) != n:
@@ -155,9 +219,9 @@ def inner_from_measure(rho: AtomicMeasure) -> BlaschkeProduct:
     c = None
     for z0 in (0.37, 0.49 + 0.11j, -0.23 + 0.31j, 0.05 - 0.43j):
         b0 = np.prod((z0 - zeros) / (1.0 - np.conj(zeros) * z0))
-        dv = P.polyval(z0, den)
+        dv = _horner(den, z0)
         if abs(b0) > 1e-6 and abs(dv) > 1e-12:
-            c = P.polyval(z0, num) / dv / b0
+            c = _horner(num, z0) / dv / b0
             break
     if c is None or abs(abs(c) - 1.0) > CONSTANT_TOL:
         raise RootOffCircleError("could not normalize the unimodular constant")

@@ -21,7 +21,7 @@ Appl. 1994; Bunch-Nielsen-Sorensen 1978), so no eigensolver runs on
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -104,7 +104,8 @@ class OperatorBundle:
     ``x -> C @ conj(x)``; ``C`` is unitary and symmetric, which encodes
     involutivity.  ``r_norm``, ``r_half``, ``r1_eigh``,
     ``sigma_hat_star``, ``A`` and the orbit of Sigma* are derived on first
-    read, each once per bundle.
+    read, each once per bundle.  Every array a bundle holds is read-only, so
+    the callers that share one bundle cannot change it under each other.
     """
 
     dim: int
@@ -130,13 +131,14 @@ class OperatorBundle:
     @cached_property
     def r_half(self) -> np.ndarray:
         """``R^{1/2}``, read by ``A`` and by the stability report."""
-        return _psd_sqrt(np.linalg.eigh(self.R), self.r_norm ** 2)
+        return _frozen(_psd_sqrt(np.linalg.eigh(self.R), self.r_norm ** 2))
 
     @cached_property
     def r1_eigh(self):
         """``eigh(R1)``, read by the invariant check (ker R1), by
         :func:`level_projections` and by ``A`` (R1^{1/2})."""
-        return np.linalg.eigh(self.R1)
+        evals, vecs = np.linalg.eigh(self.R1)
+        return _frozen(evals), _frozen(vecs)
 
     @cached_property
     def sigma_orbit(self) -> Orbit:
@@ -147,7 +149,7 @@ class OperatorBundle:
     @cached_property
     def sigma_hat_star(self) -> np.ndarray:
         """``Jp Sigma* Jp = phi1* R1 R^{-1} phi``."""
-        return self.phi1.conj().T @ self.R1 @ np.linalg.solve(self.R, self.phi)
+        return _frozen(self.phi1.conj().T @ self.R1 @ np.linalg.solve(self.R, self.phi))
 
     @cached_property
     def A(self) -> np.ndarray:
@@ -157,7 +159,13 @@ class OperatorBundle:
         ``Sigma* R^{1/2} = R^{1/2} A``.
         """
         Q = _psd_sqrt(self.r1_eigh, self.r_norm ** 2) @ np.linalg.inv(self.r_half)
-        return Q.conj().T @ self.phi1 @ Q @ self.phi.conj().T
+        return _frozen(Q.conj().T @ self.phi1 @ Q @ self.phi.conj().T)
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    """``a``, made read-only."""
+    a.setflags(write=False)
+    return a
 
 
 def orbit(M: np.ndarray, v: np.ndarray, count: int) -> np.ndarray:
@@ -205,14 +213,17 @@ class Orbit:
 
     def __call__(self, count: int) -> np.ndarray:
         """The first ``count`` columns, ``[v, Mv, ..., M^{count-1} v]``."""
-        while self._X.shape[1] < count:
-            have = self._X.shape[1]
-            X = np.empty((self._X.shape[0], 2 * have), dtype=self._X.dtype, order="F")
-            X[:, :have] = self._X
-            _advance(self._step, X, have)
-            X.setflags(write=False)
-            self._X = X
-        return self._X[:, :count]
+        # Read from a local array: a memoized bundle may be shared between
+        # threads, and another thread may store a shorter array meanwhile.
+        X = self._X
+        while X.shape[1] < count:
+            have = X.shape[1]
+            grown = np.empty((X.shape[0], 2 * have), dtype=X.dtype, order="F")
+            grown[:, :have] = X
+            _advance(self._step, grown, have)
+            grown.setflags(write=False)
+            X = self._X = grown
+        return X[:, :count]
 
 
 def _psd_sqrt(eig, scale: float) -> np.ndarray:
@@ -232,19 +243,16 @@ def _psd_sqrt(eig, scale: float) -> np.ndarray:
 
 def _from_operators(R, R1, p, phi, phi1, C, layout: BlockLayout) -> OperatorBundle:
     """The bundle of these operators with q, qhat and Sigma* derived,
-    invariants unchecked."""
-    R = np.asarray(R, dtype=complex)
-    R1 = np.asarray(R1, dtype=complex)
-    p = np.asarray(p, dtype=complex)
-    phi = np.asarray(phi, dtype=complex)
-    phi1 = np.asarray(phi1, dtype=complex)
-    C = np.asarray(C, dtype=complex)
+    invariants unchecked.  The bundle holds read-only copies: the caller's
+    arrays stay as they were, writeable or not."""
+    R, R1, p, phi, phi1, C = (_frozen(np.array(a, dtype=complex))
+                              for a in (R, R1, p, phi, phi1, C))
     q = phi @ np.linalg.solve(R, p)
     qhat = C @ np.conj(q)
     sigma = phi1 @ R1 @ np.linalg.solve(R, phi.conj().T)  # Sigma* = phi1 R1 R^{-1} phi*
     return OperatorBundle(
-        dim=len(p), R=R, R1=R1, p=p, q=q, qhat=qhat, phi=phi, phi1=phi1,
-        Jp=C, sigma_star=sigma, layout=layout)
+        dim=len(p), R=R, R1=R1, p=p, q=_frozen(q), qhat=_frozen(qhat), phi=phi,
+        phi1=phi1, Jp=C, sigma_star=_frozen(sigma), layout=layout)
 
 
 def assemble_from_operators(R, R1, p, phi, phi1, C, layout: BlockLayout) -> OperatorBundle:
@@ -349,8 +357,16 @@ def _phase_block(m: AtomicMeasure, where: str) -> np.ndarray:
     return (H * m.points) @ H.T
 
 
+@lru_cache(maxsize=1)
 def _build(d: CompactSpectralData) -> OperatorBundle:
     """The bundle for ``d``, invariants unchecked.
+
+    The last data object's bundle is kept: the generators' contraction guard
+    builds the bundle of the draw it returns, and ``assemble`` of that draw,
+    or a repeated ``assemble`` of the same object, reads it back with the
+    orbit and the factorizations it has already derived.  Data objects hash
+    by identity, and one slot holds one bundle, so a batch of data never
+    holds a batch of bundles.
 
     Every level is read as the atoms of its measure; a cyclic phase is a
     point mass.  The lambda_k block of R has one index per atom of rho_k and
@@ -404,7 +420,7 @@ def _build(d: CompactSpectralData) -> OperatorBundle:
 
 
 def assemble(d: CompactSpectralData) -> OperatorBundle:
-    """The bundle for ``d``, its invariants checked."""
+    """The bundle for ``d``, its invariants checked on every call."""
     return _validate_bundle(_build(d))
 
 

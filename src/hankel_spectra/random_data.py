@@ -50,7 +50,10 @@ def _guarded(draw, max_contraction: float | None) -> CompactSpectralData:
     ``max_contraction``, else the smallest radius of GUARD_TRIES draws (the
     first of equals); keeps certified truncations, and so batch trials,
     bounded.  The radius is read off the unchecked bundle: the guard checks no
-    law, since ``assemble``, which every consumer of the data runs, does."""
+    law, since ``assemble``, which every consumer of the data runs, does.
+    ``_build`` keeps the last bundle it built, so when the guard stops at a
+    draw within the bound, ``assemble`` of that draw checks the bundle the
+    guard measured instead of building it again."""
     if max_contraction is None:
         return draw()
     best, best_r = None, np.inf

@@ -1,9 +1,14 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.polynomial import polynomial as P
 
 import hankel_spectra as hs
+from hankel_spectra import serialize
 from hankel_spectra.clark import _herglotz_sum
 from hankel_spectra.errors import (
     DegenerateMeasureError,
@@ -11,6 +16,8 @@ from hankel_spectra.errors import (
     ThetaAtOriginNonzeroError,
 )
 from hankel_spectra.random_data import random_circle_measure
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 def delta(point):
@@ -29,6 +36,21 @@ class TestBlaschkeProduct:
     def test_rejects_zero_outside_disk(self):
         with pytest.raises(RootOffCircleError):
             hs.BlaschkeProduct(zeros=[1.0])
+
+    def test_caller_zeros_stay_writeable(self):
+        zeros = np.array([0.0, 0.3 + 0.2j])
+        theta = hs.BlaschkeProduct(zeros=zeros)
+        assert zeros.flags.writeable and not theta.zeros.flags.writeable
+        zeros[1] = 0.5
+        assert theta.zeros[1] == 0.3 + 0.2j
+
+    def test_rejects_nan_zero(self):
+        with pytest.raises(RootOffCircleError):
+            hs.clark_measure(hs.BlaschkeProduct([0.0, np.nan]))
+
+    def test_rejects_nan_constant(self):
+        with pytest.raises(RootOffCircleError):
+            hs.BlaschkeProduct([0.0], constant=complex(np.nan, 0.0))
 
     def test_derivative_matches_finite_difference(self):
         theta = hs.BlaschkeProduct(zeros=[0.0, 0.3 + 0.2j], constant=np.exp(0.4j))
@@ -186,3 +208,97 @@ class TestGpConvert:
             assert np.abs(a.points - bb.points).max() <= 1e-8
             assert np.abs(a.weights - bb.weights).max() <= 1e-8
         assert back1[-1] is None
+
+
+class _NumpyPolynomialProduct(hs.BlaschkeProduct):
+    """A Blaschke product whose coefficient arithmetic runs through
+    numpy.polynomial, the reference the plain-array path must match bit for
+    bit."""
+
+    def as_rational(self):
+        num = self.constant * P.polyfromroots(self.zeros)
+        den = np.asarray([1.0 + 0j])
+        for z in self.zeros:
+            den = P.polymul(den, [1.0, -np.conj(z)])
+        return num, den
+
+    def derivative(self, z):
+        num, den = self.as_rational()
+        z = np.asarray(z, dtype=complex)
+        nv = P.polyval(z, num)
+        dv = P.polyval(z, den)
+        npv = P.polyval(z, P.polyder(num))
+        dpv = P.polyval(z, P.polyder(den))
+        out = (npv * dv - nv * dpv) / dv**2
+        return out if out.shape else complex(out)
+
+
+def _reference_clark_measure(theta):
+    num, den = theta.as_rational()
+    roots = P.polyroots(P.polysub(num, den))
+    d = theta.derivative(roots)
+    safe = np.abs(d) > 1e-300
+    roots = np.where(safe, roots - (np.asarray(theta(roots)) - 1.0) / np.where(safe, d, 1.0), roots)
+    roots = roots / np.abs(roots)
+    return roots, 1.0 / np.abs(theta.derivative(roots))
+
+
+def _reference_inner_from_measure(rho):
+    xi, w, n = rho.points, rho.weights, len(rho.points)
+    den_poly = np.asarray([1.0 + 0j])
+    for x in xi:
+        den_poly = P.polymul(den_poly, [1.0, -np.conj(x)])
+    p_poly = np.zeros(n + 1, dtype=complex)
+    for j in range(n):
+        term = np.asarray([w[j], w[j] * np.conj(xi[j])])
+        for i in range(n):
+            if i != j:
+                term = P.polymul(term, [1.0, -np.conj(xi[i])])
+        p_poly = P.polyadd(p_poly, term)
+    num = P.polysub(p_poly, den_poly)
+    den = P.polyadd(p_poly, den_poly)
+    zeros = P.polyroots(num)
+    zeros = np.where(np.abs(zeros) <= 1e-8, 0.0, zeros)
+    for z0 in (0.37, 0.49 + 0.11j, -0.23 + 0.31j, 0.05 - 0.43j):
+        b0 = np.prod((z0 - zeros) / (1.0 - np.conj(zeros) * z0))
+        dv = P.polyval(z0, den)
+        if abs(b0) > 1e-6 and abs(dv) > 1e-12:
+            c = P.polyval(z0, num) / dv / b0
+            break
+    return zeros, c / abs(c)
+
+
+class TestCoefficientPath:
+    """Both directions of the dictionary give the numpy.polynomial
+    reference's zeros, constants, atoms and weights exactly."""
+
+    @staticmethod
+    def assert_clark_matches(theta):
+        m = hs.clark_measure(theta)
+        points, weights = _reference_clark_measure(
+            _NumpyPolynomialProduct(theta.zeros, theta.constant))
+        assert np.array_equal(m.points, points) and np.array_equal(m.weights, weights)
+        return m
+
+    @staticmethod
+    def assert_inner_matches(m):
+        theta = hs.inner_from_measure(m)
+        zeros, c = _reference_inner_from_measure(m)
+        assert np.array_equal(theta.zeros, zeros) and theta.constant == c
+        return theta
+
+    @pytest.mark.parametrize("atoms", range(1, 9))
+    def test_seeded_measures(self, atoms):
+        for seed in range(5):
+            m = random_circle_measure(np.random.default_rng(100 * atoms + seed), atoms)
+            theta = self.assert_inner_matches(m)
+            self.assert_clark_matches(theta)
+            for z in (0.3 - 0.2j, np.exp(2j * np.pi * np.arange(5) / 5)):
+                ref = _NumpyPolynomialProduct(theta.zeros, theta.constant).derivative(z)
+                assert np.array_equal(theta.derivative(z), ref)
+
+    def test_fixture_levels(self):
+        thetas, theta1s = serialize.parse_clark_levels(
+            json.loads((FIXTURES / "clark_levels.json").read_text()))
+        for theta in thetas + [t for t in theta1s if t is not None]:
+            self.assert_inner_matches(self.assert_clark_matches(theta))

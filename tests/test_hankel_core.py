@@ -131,7 +131,10 @@ class TestOneOrbitWalk:
         b = hs.assemble(data)
         N = hs.certified_truncation(b) if explicit else "auto"
         calls.clear()
-        h = hs.hankel_from_data(data, N=N)
+        # an equal data object of its own: ``data``'s bundle is memoized
+        # and has already walked its orbit above
+        fresh = hs.CompactSpectralData(data.spectrum, data.rho, data.rho1)
+        h = hs.hankel_from_data(fresh, N=N)
         starts = [c for c in calls if np.array_equal(c[0], b.sigma_star)
                   and np.array_equal(c[1], b.p)]
         assert len(starts) == 1

@@ -424,6 +424,27 @@ class TestOrbit:
             np.testing.assert_array_equal(stepwise(count), ref[:, :count])
         np.testing.assert_array_equal(direct(300), ref[:, :300])
 
+    def test_shared_orbit_under_threads(self):
+        # a memoized bundle's orbit may be read from several threads at once:
+        # each request gets its columns whatever length another thread stores
+        import sys
+        from concurrent.futures import ThreadPoolExecutor
+
+        b = hs.assemble(random_multiplicity_data(np.random.default_rng(4), 3, max_atoms=3))
+        counts = [65, 129, 257, 513, 1024, 100, 300, 700]
+        ref = orbit(b.sigma_star, b.p, max(counts))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=len(counts)) as pool:
+                for _ in range(50):
+                    shared = Orbit(b.sigma_star, b.p)
+                    futures = [pool.submit(shared, count) for count in counts]
+                    for count, future in zip(counts, futures):
+                        np.testing.assert_array_equal(future.result(timeout=30), ref[:, :count])
+        finally:
+            sys.setswitchinterval(interval)
+
 
 class TestLazyFields:
     def test_derived_on_first_read(self, rank2_data):
@@ -439,3 +460,59 @@ class TestLazyFields:
             assert b.sigma_hat_star is hat
             np.testing.assert_allclose(
                 hat, b.phi1.conj().T @ b.R1 @ np.linalg.solve(b.R, b.phi), atol=1e-14)
+
+
+class TestBuildMemo:
+    """``_build`` keeps the last data object's bundle: the guard's build of
+    the draw it returns is the one ``assemble`` checks."""
+
+    def test_one_build_per_candidate(self, monkeypatch):
+        from hankel_spectra import operator_assembly, random_data
+        from hankel_spectra.roundtrip import run_roundtrip_trial
+
+        builds, draws = [], []
+        real_build, real_spectrum = operator_assembly._from_operators, random_data.random_spectrum
+
+        def build(*args):
+            builds.append(args)
+            return real_build(*args)
+
+        def spectrum(*args):
+            draws.append(args)
+            return real_spectrum(*args)
+
+        monkeypatch.setattr(operator_assembly, "_from_operators", build)
+        monkeypatch.setattr(random_data, "random_spectrum", spectrum)
+        d = random_data.random_cyclic_data(np.random.default_rng(2), 6, max_contraction=0.97)
+        run_roundtrip_trial(d)
+        assert len(draws) > 1  # the guard turned candidates down
+        assert len(builds) == len(draws)
+
+    def test_repeated_assemble_shares_the_bundle(self, rank2_data):
+        assert hs.assemble(rank2_data) is hs.assemble(rank2_data)
+
+    def test_one_slot(self, rank1_data, rank2_data):
+        from hankel_spectra import operator_assembly
+
+        first = hs.assemble(rank2_data)
+        hs.assemble(rank1_data)
+        assert operator_assembly._build.cache_info().currsize == 1
+        assert hs.assemble(rank2_data) is not first
+
+
+class TestReadOnlyBundle:
+    def test_arrays_are_read_only(self, rank2_data):
+        b = hs.assemble(rank2_data)
+        with pytest.raises(ValueError):
+            b.R[0, 0] = 0.0
+        held = [b.R, b.R1, b.p, b.q, b.qhat, b.phi, b.phi1, b.Jp, b.sigma_star,
+                b.r_half, *b.r1_eigh, b.sigma_hat_star, b.A]
+        assert not any(a.flags.writeable for a in held)
+
+    def test_caller_arrays_stay_writeable(self, rank2_data):
+        b = hs.assemble(rank2_data)
+        ops = [np.array(a) for a in (b.R, b.R1, b.p, b.phi, b.phi1, b.Jp)]
+        assert all(a.flags.writeable for a in ops)
+        built = assemble_from_operators(*ops, b.layout)
+        assert all(a.flags.writeable for a in ops)
+        assert not built.R.flags.writeable
