@@ -26,7 +26,6 @@ from .hankel_core import (
     gamma_sequence,
     hankel_from_bundle,
     hankel_from_data,
-    kernel_diagnostics,
     rank_one_identity_residual,
 )
 from .operator_assembly import (
@@ -42,9 +41,6 @@ from .spectral_data import (
     CompactSpectralData,
     IntertwinedSpectrum,
     borg_weights,
-    cauchy_transform_eval,
-    kernel_conditions,
-    phi_product_eval,
     validate_intertwining,
 )
 from .stability import CnuLevel, StabilityReport, cnu_certificate, stability_report
@@ -64,7 +60,6 @@ __all__ = [
     "assemble_from_operators",
     "borg_weights",
     "bundle_residuals",
-    "cauchy_transform_eval",
     "certified_truncation",
     "clark_measure",
     "cnu_certificate",
@@ -75,9 +70,6 @@ __all__ = [
     "hankel_from_bundle",
     "hankel_from_data",
     "inner_from_measure",
-    "kernel_conditions",
-    "kernel_diagnostics",
-    "phi_product_eval",
     "rank_one_identity_residual",
     "reflect_measure",
     "roundtrip_errors",

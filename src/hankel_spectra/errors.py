@@ -29,14 +29,6 @@ class NonInterlacingError(HankelSpectraError):
         super().__init__(message or f"interlacing violated at index {index}")
 
 
-class PoleProximityError(HankelSpectraError):
-    code = "PoleProximity"
-
-    def __init__(self, index: int, message: str = ""):
-        self.index = index
-        super().__init__(message or f"evaluation point too close to pole {index}")
-
-
 class WeightRangeError(HankelSpectraError):
     """Weight product over- or underflows double precision."""
 

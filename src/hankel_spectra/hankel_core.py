@@ -74,8 +74,8 @@ class HankelMatrix:
     2N - 1 symbol coefficients.
 
     Gamma and Gamma* act through :meth:`apply` by FFT; Gamma S acts through
-    the factor the range finder captures.  The dense ``entries`` and
-    ``shifted()`` are derived only on request.
+    the factor the range finder captures.  The dense ``entries`` are derived
+    only on request.
     """
 
     gamma: np.ndarray
@@ -93,7 +93,7 @@ class HankelMatrix:
         return cls(gamma=gamma, N=N)
 
     @classmethod
-    def from_entries(cls, matrix, rtol: float = ANTIDIAG_RTOL) -> "HankelMatrix":
+    def from_entries(cls, matrix) -> "HankelMatrix":
         """Ingest an external matrix, checking anti-diagonal constancy."""
         matrix = np.asarray(matrix, dtype=complex)
         if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1] or matrix.shape[0] == 0:
@@ -108,9 +108,9 @@ class HankelMatrix:
         np.add.at(counts, idx.ravel(), 1.0)
         gamma /= counts
         residual = float(np.abs(matrix - gamma[idx]).max())
-        if residual > rtol * scale:
+        if residual > ANTIDIAG_RTOL * scale:
             raise NotHankelError(
-                f"anti-diagonal residual {residual:.3e} exceeds {rtol:.1e} * scale")
+                f"anti-diagonal residual {residual:.3e} exceeds {ANTIDIAG_RTOL:.1e} * scale")
         return cls.from_gamma(gamma, N)
 
     @property
@@ -118,12 +118,6 @@ class HankelMatrix:
         """The dense matrix (gamma_{j+k}), built anew on each access."""
         j = np.arange(self.N)
         return self.gamma[j[:, None] + j[None, :]]
-
-    def shifted(self) -> np.ndarray:
-        """The dense truncation of Gamma S: columns shifted left, zero last column."""
-        out = np.zeros((self.N, self.N), dtype=complex)
-        out[:, :-1] = self.entries[:, 1:]
-        return out
 
     @cached_property
     def _gamma_hat(self) -> np.ndarray:
@@ -232,28 +226,6 @@ def rank_one_identity_residual(h: HankelMatrix) -> float:
     t_mass = float(np.vdot(h.gamma[N:], h.gamma[N:]).real)
     c_mass = 2.0 * float(np.vdot(c[:-1], c[:-1]).real) + abs(c[-1]) ** 2
     return float(np.sqrt(t_mass ** 2 + c_mass))
-
-
-@dataclass(frozen=True)
-class KernelReport:
-    sigma_min: float
-    numerical_rank: int
-    N: int
-    n: int
-    nontrivial_kernel: bool
-
-
-def kernel_diagnostics(h: HankelMatrix, n: int) -> KernelReport:
-    """Smallest singular value of the truncation (0 below the zero cut) and
-    the numerical rank, the count of values above ZERO_CUT_RTOL * sigma_1;
-    the kernel is nontrivial exactly when that rank is below N.  A rank-n
-    symbol truncated at N >= n + 2 always leaves a nontrivial kernel."""
-    if h.N < n + 2:
-        raise TruncationTooSmallError(f"need N >= n + 2 = {n + 2}, got {h.N}")
-    svals = h.singular_values()
-    rank = int(np.count_nonzero(svals))
-    return KernelReport(sigma_min=float(svals[-1]), numerical_rank=rank, N=h.N, n=n,
-                        nontrivial_kernel=rank < h.N)
 
 
 def _cluster_levels(svals_desc: np.ndarray, smax: float, gap: float):

@@ -135,8 +135,8 @@ class OperatorBundle:
 
     @cached_property
     def r1_eigh(self):
-        """``eigh(R1)``, read by the invariant check (ker R1), by
-        :func:`level_projections` and by ``A`` (R1^{1/2})."""
+        """``eigh(R1)``, read by the invariant check (R1's spectrum and
+        ker R1), by :func:`level_projections` and by ``A`` (R1^{1/2})."""
         evals, vecs = np.linalg.eigh(self.R1)
         return _frozen(evals), _frozen(vecs)
 
@@ -267,7 +267,10 @@ def assemble_from_operators(R, R1, p, phi, phi1, C, layout: BlockLayout) -> Oper
 def bundle_residuals(b: OperatorBundle) -> dict:
     """Each defining identity of ``b`` by name, mapped to ``(residual, bound)``.
 
-    The conjugation acts by ``x -> C conj(x)``: it is unitary, involutive,
+    The first two rows hold R and R1 to the spectra the layout names; their
+    bound is the roundoff bound of a product with R that the commutation rows
+    use, since eigh(R1) is backward stable and the builder's R is exact.  The
+    conjugation acts by ``x -> C conj(x)``: it is unitary, involutive,
     fixes p and commutes with R and R1, and a matrix T is Jp-symmetric when
     ``T* = C conj(T) conj(C)``.  Unitary and involutive make C symmetric, so
     ``<y, Jp x> = <x, Jp y>``; Jp is antilinear by construction.
@@ -283,14 +286,25 @@ def bundle_residuals(b: OperatorBundle) -> dict:
     def jsym(M) -> float:
         return norm(M.conj().T - C @ np.conj(M) @ np.conj(C))
 
+    # The layout names R's level on each block, and so R1's spectrum: lambda_k
+    # on one vector fewer than its block, mu_k on one more.  The
+    # partial-isometry row reads ker R1 off the layout, so these come first.
+    lay = b.layout
+    levels = lay.lam + lay.mu
+    r = np.zeros(b.dim)
+    for block, level in zip(lay.lam_blocks + lay.mu_blocks, levels):
+        r[list(block)] = level
+    r1 = np.repeat(levels, [len(block) - 1 for block in lay.lam_blocks]
+                   + [len(block) + 1 for block in lay.mu_blocks])
     # phi1 must be isometric exactly on (ker R1)^perp and zero on ker R1.
     # ker R1 is ker(R1 - mu_n I) at a terminal zero and trivial otherwise; it
     # leads the ascending eigh(R1), as level_projections reads it.
-    lay = b.layout
     kernel_dim = lay.mu_eigdim(lay.n_levels - 1) if lay.mu[-1] == 0.0 else 0
     kernel = b.r1_eigh[1][:, :kernel_dim]
     isometry = b.phi1.conj().T @ b.phi1 - (eye - kernel @ kernel.conj().T)
     return {
+        "R matches layout": (norm(b.R - np.diag(r)), commute),
+        "R1 matches layout": (float(np.abs(b.r1_eigh[0] - np.sort(r1)).max()), commute),
         "R hermitian": (norm(b.R - b.R.conj().T), RANK_ONE_RTOL * r2),
         "rank-one relation": (norm(b.R @ b.R - b.R1 @ b.R1 - np.outer(b.p, b.p.conj())),
                               RANK_ONE_RTOL * r2 * b.dim),

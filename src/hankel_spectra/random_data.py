@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .operator_assembly import BlockLayout, _build
+from .operator_assembly import _build
 from .spectral_data import (
     AtomicMeasure,
     CompactSpectralData,
@@ -106,36 +106,3 @@ def random_multiplicity_data(rng: np.random.Generator, n: int, max_atoms: int = 
         return CompactSpectralData(s, rho, rho1)
 
     return _guarded(draw, max_contraction)
-
-
-def random_admissible_commutant(rng: np.random.Generator, layout: BlockLayout) -> np.ndarray:
-    """Random unitary commuting with R, fixing p, symmetric for the entrywise
-    conjugation of the block basis.
-
-    Built blockwise as exp(i S) with S real symmetric and S p_k = 0 on the
-    lambda blocks; on the mu blocks S is unconstrained.  These are exactly the
-    gauge rotations that leave the Hankel symbol invariant.
-    """
-    dim = layout.dim
-    psi = np.eye(dim, dtype=complex)
-
-    def sym_unitary(d: int, fix_first: bool) -> np.ndarray:
-        S = rng.standard_normal((d, d))
-        S = 0.5 * (S + S.T)
-        if fix_first:
-            S[0, :] = 0.0
-            S[:, 0] = 0.0
-        evals, vecs = np.linalg.eigh(S)
-        return (vecs * np.exp(1j * evals)) @ vecs.T
-
-    for block in layout.lam_blocks:
-        d = len(block)
-        if d > 1:
-            idx = np.asarray(block)
-            psi[np.ix_(idx, idx)] = sym_unitary(d, fix_first=True)
-    for block in layout.mu_blocks:
-        d = len(block)
-        if d >= 1:
-            idx = np.asarray(block)
-            psi[np.ix_(idx, idx)] = sym_unitary(d, fix_first=False)
-    return psi

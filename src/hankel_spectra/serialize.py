@@ -259,7 +259,7 @@ _MEASURE_FLAGS = ("circle", "probability")
 
 def emit_measure(m: AtomicMeasure) -> dict:
     atoms = []
-    for point, weight in m.atoms:
+    for point, weight in zip(m.points, m.weights):
         encoded = point.real if (not m.circle and point.imag == 0.0) else _c(point)
         atoms.append({"point": encoded, "weight": float(weight)})
     flags = [f for f, on in zip(_MEASURE_FLAGS, (m.circle, m.probability)) if on]

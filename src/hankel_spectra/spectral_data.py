@@ -1,18 +1,16 @@
-"""Validated spectral-data types and the weight identities that tie them together.
+"""Validated spectral-data types and the weight identity that ties them together.
 
 A pair of strictly interlacing sequences ``lambda_1 > mu_1 > lambda_2 > ...``
 determines a unique atomic measure ``rho = sum a_n delta_{lambda_n^2}`` such
 that the rank-one perturbation ``diag(lambda^2) - p p*`` with ``p = sqrt(a)``
-has eigenvalues ``mu_k^2``.  This module computes those weights, the product
-function ``Phi(z) = prod (z - mu_k^2)/(z - lambda_k^2)`` and the Cauchy
-transform of atomic measures, plus the kernel-condition bookkeeping used for
-finite-rank data.
+has eigenvalues ``mu_k^2``.  This module validates the sequences and the
+circle probability measures of the levels, and computes those weights.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,7 +20,6 @@ from .errors import (
     NegativeEntryError,
     NonInterlacingError,
     NonUnimodularPhaseError,
-    PoleProximityError,
     WeightRangeError,
 )
 
@@ -65,11 +62,6 @@ class IntertwinedSpectrum:
     @property
     def has_terminal_zero(self) -> bool:
         return self.mu[-1] == 0.0
-
-    @property
-    def scale2(self) -> float:
-        """Reference scale for squared-spectrum tolerances."""
-        return max(float(self.lam[0]) ** 2, 1.0)
 
 
 def validate_intertwining(lam, mu) -> IntertwinedSpectrum:
@@ -156,23 +148,6 @@ class AtomicMeasure:
     def point_mass(cls, z) -> "AtomicMeasure":
         """The circle probability measure delta_z of a unimodular phase z."""
         return cls(points=[complex(z)], weights=[1.0], circle=True, probability=True)
-
-    @property
-    def atoms(self):
-        return tuple(zip(self.points, self.weights))
-
-    @property
-    def total_mass(self) -> float:
-        return float(self.weights.sum())
-
-    def canonically_sorted(self) -> "AtomicMeasure":
-        """Atoms reordered by angle (circle) or by descending real part."""
-        if self.circle:
-            order = np.argsort(np.mod(np.angle(self.points), 2.0 * np.pi))
-        else:
-            order = np.argsort(-self.points.real)
-        return AtomicMeasure(self.points[order], self.weights[order],
-                             circle=self.circle, probability=self.probability)
 
 
 def _check_unimodular(values, what: str):
@@ -310,60 +285,3 @@ def borg_weights(s: IntertwinedSpectrum) -> AtomicMeasure:
             raise NonInterlacingError(i, f"weight {i} came out nonpositive")
         weights[i] = math.exp(log_a)
     return AtomicMeasure(points=lam2.astype(complex), weights=weights)
-
-
-@dataclass(frozen=True)
-class KernelConditions:
-    """Finite-rank kernel flags plus truncation diagnostics.
-
-    At finite rank ``norm_is_one`` holds exactly when the terminal mu is 0.
-    The range condition q not in Ran R never holds there, so the kernel is
-    never trivial and neither is recorded.  The partial sums are reported for
-    user-supplied truncations of infinite data; no convergence claim is
-    attached to them.
-    """
-
-    norm_is_one: bool
-    partial_sum_norm: float = field(default=math.inf)
-    partial_sum_range: float = field(default=0.0)
-
-
-def kernel_conditions(s: IntertwinedSpectrum) -> KernelConditions:
-    with np.errstate(divide="ignore"):
-        ratios = np.where(s.mu2 > 0, s.lam2 / np.where(s.mu2 > 0, s.mu2, 1.0), np.inf)
-    partial_norm = float(np.sum(ratios - 1.0))
-    partial_range = float(np.sum(s.mu2[:-1] / s.lam2[1:] - 1.0)) if s.n > 1 else 0.0
-    return KernelConditions(
-        norm_is_one=s.has_terminal_zero,
-        partial_sum_norm=partial_norm,
-        partial_sum_range=partial_range,
-    )
-
-
-def phi_product_eval(s: IntertwinedSpectrum, z: complex, pole_rtol: float = DISTINCTNESS_RTOL) -> complex:
-    """Evaluate ``prod_k (z - mu_k^2) / (z - lambda_k^2)``.
-
-    ``-Phi`` is Herglotz: its imaginary part is negative in the upper half
-    plane, it tends to 1 at infinity, and it equals ``1 - F`` with ``F`` the
-    Cauchy transform of the weight measure.
-    """
-    z = complex(z)
-    tol = pole_rtol * s.scale2
-    value = 1.0 + 0j
-    for k in range(s.n):
-        den = z - s.lam2[k]
-        if abs(den) <= tol:
-            raise PoleProximityError(k, f"z within pole tolerance of lambda[{k}]^2")
-        value *= (z - s.mu2[k]) / den
-    return value
-
-
-def cauchy_transform_eval(rho: AtomicMeasure, z: complex, pole_rtol: float = DISTINCTNESS_RTOL) -> complex:
-    """Evaluate ``F(z) = sum_k w_k / (s_k - z)`` for an atomic measure."""
-    z = complex(z)
-    tol = pole_rtol * max(1.0, float(np.abs(rho.points).max()))
-    diffs = rho.points - z
-    if np.any(np.abs(diffs) <= tol):
-        k = int(np.argmin(np.abs(diffs)))
-        raise PoleProximityError(k, f"z within pole tolerance of atom {k}")
-    return complex(np.sum(rho.weights / diffs))

@@ -17,6 +17,8 @@ import numpy as np
 from .operator_assembly import OperatorBundle, level_projections, orbit
 
 KRYLOV_RANK_RTOL = 1e-10
+# Steps of the decay profile ||(Sigma*)^k p||, k = 0..DECAY_STEPS.
+DECAY_STEPS = 200
 
 
 @dataclass(frozen=True)
@@ -76,11 +78,11 @@ def cnu_certificate(b: OperatorBundle) -> tuple:
     return tuple(out)
 
 
-def stability_report(b: OperatorBundle, K: int = 200) -> StabilityReport:
+def stability_report(b: OperatorBundle) -> StabilityReport:
     """Spectral radius of Sigma*, decay of ||(Sigma*)^k p||, and the
     intertwining residual ||Sigma* R^{1/2} - R^{1/2} A||."""
     radius = float(np.abs(np.linalg.eigvals(b.sigma_star)).max())
-    profile = np.linalg.norm(b.sigma_orbit(K + 1), axis=0)
+    profile = np.linalg.norm(b.sigma_orbit(DECAY_STEPS + 1), axis=0)
     residual = float(np.linalg.norm(b.sigma_star @ b.r_half - b.r_half @ b.A))
     norm_a = float(np.linalg.norm(b.A, 2))
     return StabilityReport(

@@ -47,3 +47,43 @@ def bundle_corpus():
     s = hs.validate_intertwining([2.0, 1.0], [float(np.sqrt(2.0)), 0.0])
     bundles.append(hs.assemble(hs.CompactSpectralData.cyclic(s, [1j, -1.0], [np.exp(0.3j), 0.0])))
     return bundles
+
+
+def _random_admissible_commutant(rng, layout):
+    """Random unitary commuting with R, fixing p, symmetric for the entrywise
+    conjugation of the block basis.
+
+    Built blockwise as exp(i S) with S real symmetric and S p_k = 0 on the
+    lambda blocks; on the mu blocks S is unconstrained.  These are exactly the
+    gauge rotations that leave the Hankel symbol invariant.
+    """
+    dim = layout.dim
+    psi = np.eye(dim, dtype=complex)
+
+    def sym_unitary(d, fix_first):
+        S = rng.standard_normal((d, d))
+        S = 0.5 * (S + S.T)
+        if fix_first:
+            S[0, :] = 0.0
+            S[:, 0] = 0.0
+        evals, vecs = np.linalg.eigh(S)
+        return (vecs * np.exp(1j * evals)) @ vecs.T
+
+    for block in layout.lam_blocks:
+        d = len(block)
+        if d > 1:
+            idx = np.asarray(block)
+            psi[np.ix_(idx, idx)] = sym_unitary(d, fix_first=True)
+    for block in layout.mu_blocks:
+        d = len(block)
+        if d >= 1:
+            idx = np.asarray(block)
+            psi[np.ix_(idx, idx)] = sym_unitary(d, fix_first=False)
+    return psi
+
+
+@pytest.fixture
+def admissible_commutant():
+    """The gauge generator ``(rng, layout) -> psi``: a random admissible
+    rotation of a bundle, applied as phi psi*, phi1 psi*, psi Jp."""
+    return _random_admissible_commutant

@@ -10,13 +10,12 @@ import pytest
 import hankel_spectra as hs
 from hankel_spectra.operator_assembly import assemble_from_operators
 from hankel_spectra.random_data import (
-    random_admissible_commutant,
     random_circle_measure,
     random_cyclic_data,
     random_multiplicity_data,
     random_spectrum,
 )
-from hankel_spectra.roundtrip import run_roundtrip_trial
+from hankel_spectra.roundtrip import atoms_difference, run_roundtrip_trial
 from hankel_spectra.clark import _herglotz_sum
 
 MAX_CONTRACTION = 0.97  # trial instances stay certifiable within the size cap
@@ -45,7 +44,7 @@ def test_criterion_1_borg_oracle():
         rho = hs.borg_weights(s)
         p = np.sqrt(rho.weights)
         evals = np.sort(np.linalg.eigvalsh(np.diag(s.lam2) - np.outer(p, p)))[::-1]
-        np.testing.assert_allclose(evals, s.mu2, rtol=1e-9, atol=1e-9 * s.scale2)
+        np.testing.assert_allclose(evals, s.mu2, rtol=1e-9, atol=1e-9 * max(s.lam[0] ** 2, 1.0))
         trace = float(np.sum(s.lam2 - s.mu2))
         assert abs(rho.weights.sum() - trace) <= 1e-12 * trace
         lhs = 1.0 - float(np.sum(rho.weights / s.lam2))
@@ -98,7 +97,7 @@ def test_criterion_4_structural_identities():
         worst["conjugation"] = max(
             [worst["conjugation"]] + [res for name, (res, _) in hs.bundle_residuals(b).items()
                                       if "Jp" in name])
-        report = hs.stability_report(b, K=2)
+        report = hs.stability_report(b)
         worst["intertwine"] = max(worst["intertwine"], report.intertwine_residual)
         worst["norm_A"] = max(worst["norm_A"], report.norm_A)
     assert worst["rank_one"] <= 1e-12
@@ -133,7 +132,7 @@ def test_criterion_5_hankel_structure():
 def test_criterion_6_stability_and_cnu():
     rng = np.random.default_rng(1006)
     for b in _assembled_corpus(rng, n_cyclic=6, n_mult=6):
-        report = hs.stability_report(b, K=2)
+        report = hs.stability_report(b)
         assert report.spectral_radius_sigma < 1.0
         assert report.cnu_passed  # all atoms carry positive weight
     # negative control: a level phase that ignores one atom of p_k
@@ -152,8 +151,7 @@ def test_criterion_7_finite_rank_kernel(uncertified):
         n = int(rng.integers(1, 7))
         d = random_cyclic_data(rng, n, max_contraction=MAX_CONTRACTION)
         h = uncertified(d, n + 2)
-        report = hs.kernel_diagnostics(h, n=n)
-        assert report.sigma_min <= 1e-8
+        assert h.singular_values()[-1] <= 1e-8
     _report(7, "sigma_min of every (n+2) x (n+2) truncation <= 1e-8")
 
 
@@ -164,11 +162,7 @@ def test_criterion_8_clark_roundtrips():
     for _ in range(50):
         m = random_circle_measure(rng, int(rng.integers(1, 7)))
         theta = hs.inner_from_measure(m)
-        back = hs.clark_measure(theta).canonically_sorted()
-        ref = m.canonically_sorted()
-        worst_atoms = max(worst_atoms,
-                          float(np.abs(back.points - ref.points).max()),
-                          float(np.abs(back.weights - ref.weights).max()))
+        worst_atoms = max(worst_atoms, atoms_difference(hs.clark_measure(theta), m))
         z = 0.9 * np.sqrt(rng.random(20)) * np.exp(2j * np.pi * rng.random(20))
         lhs = (1.0 + theta(z)) / (1.0 - theta(z))
         worst_identity = max(worst_identity,
@@ -185,7 +179,7 @@ def test_criterion_8_clark_roundtrips():
                f"integral identity {worst_identity:.1e} <= 1e-8, identity map exact")
 
 
-def test_criterion_9_gauge_invariance():
+def test_criterion_9_gauge_invariance(admissible_commutant):
     rng = np.random.default_rng(1009)
     worst = 0.0
     for _ in range(20):
@@ -195,7 +189,7 @@ def test_criterion_9_gauge_invariance():
         b = hs.assemble(d)
         gamma = hs.gamma_sequence(b, 60)
         for _ in range(5):
-            psi = random_admissible_commutant(rng, b.layout)
+            psi = admissible_commutant(rng, b.layout)
             rotated = assemble_from_operators(
                 b.R, b.R1, b.p, b.phi @ psi.conj().T, b.phi1 @ psi.conj().T,
                 psi @ b.Jp, b.layout)

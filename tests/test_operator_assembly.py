@@ -13,17 +13,16 @@ from hankel_spectra.operator_assembly import (
     level_projections,
     orbit,
 )
-from hankel_spectra.random_data import (
-    random_admissible_commutant,
-    random_multiplicity_data,
-)
+from hankel_spectra.random_data import random_multiplicity_data
 from hankel_spectra.serialize import emit_bundle, emit_spectral_data, parse_bundle
+from hankel_spectra.stability import DECAY_STEPS
 
 
 def numerical_phi_derivative(s, x, h=1e-6):
-    scale = s.scale2
-    return (hs.phi_product_eval(s, x + h * scale) -
-            hs.phi_product_eval(s, x - h * scale)).real / (2 * h * scale)
+    """Central difference of Phi(z) = prod_k (z - mu_k^2) / (z - lambda_k^2)."""
+    scale = max(s.lam[0] ** 2, 1.0)
+    phi = lambda z: np.prod((z - s.mu2) / (z - s.lam2))
+    return (phi(x + h * scale) - phi(x - h * scale)) / (2 * h * scale)
 
 
 class TestAssembleCyclic:
@@ -85,7 +84,7 @@ class TestAssembleMultiplicity:
         assert np.linalg.norm(b.p) ** 2 == pytest.approx(1.0)
         assert len(b.layout.lam_blocks[0]) == 2  # dim ker(R - lam_1) = 2
 
-    def test_mu_weights_match_residue_oracle(self):
+    def test_mu_weights_match_residue_oracle(self, admissible_commutant):
         # ||p1_k||^2 must equal the mass of the perturbed measure at mu_k^2,
         # i.e. -1 / Phi'(mu_k^2), computed by numerical differentiation
         rng = np.random.default_rng(21)
@@ -100,7 +99,7 @@ class TestAssembleMultiplicity:
         # level_projections selects the levels by position in eigh(R1), so a
         # bundle that did not come from the builder gives the same p1_k: one
         # re-read from bundle.v1 and one rotated by an admissible gauge
-        psi = random_admissible_commutant(rng, b.layout)
+        psi = admissible_commutant(rng, b.layout)
         rotated = assemble_from_operators(
             b.R, b.R1, b.p, b.phi @ psi.conj().T, b.phi1 @ psi.conj().T,
             psi @ b.Jp, b.layout)
@@ -249,10 +248,12 @@ class TestLawTable:
     """``bundle_residuals`` is the one statement of the bundle's laws, and
     validation refuses the first row over its bound."""
 
-    LAWS = ["R hermitian", "rank-one relation", "phi unitary", "phi commutes with R",
+    LAWS = ["R matches layout", "R1 matches layout",
+            "R hermitian", "rank-one relation", "phi unitary", "phi commutes with R",
             "phi1 commutes with R1", "defect identity", "Jp involutive", "Jp fixes p",
             "phi Jp-symmetric", "phi1 Jp-symmetric", "phi1 partial isometry",
             "Jp unitary", "Jp commutes with R", "Jp commutes with R1"]
+    EXACT = ["Jp unitary", "Jp commutes with R", "Jp commutes with R1"]
 
     def test_rows_hold_on_built_bundles(self, bundle_corpus):
         for b in bundle_corpus:
@@ -260,7 +261,7 @@ class TestLawTable:
             assert list(table) == self.LAWS
             assert all(res <= bound for res, bound in table.values())
             # the builder's C is the identity and its R and R1 are real
-            assert all(table[law][0] == 0.0 for law in self.LAWS[-3:])
+            assert all(table[law][0] == 0.0 for law in self.EXACT)
 
     @pytest.fixture
     def plain(self):
@@ -293,22 +294,22 @@ class TestLawTable:
 
 
 class TestGaugeRotation:
-    def test_rotated_tuple_still_validates(self):
+    def test_rotated_tuple_still_validates(self, admissible_commutant):
         rng = np.random.default_rng(51)
         d = random_multiplicity_data(rng, 2, max_atoms=3)
         b = hs.assemble(d)
-        psi = random_admissible_commutant(rng, b.layout)
+        psi = admissible_commutant(rng, b.layout)
         rotated = assemble_from_operators(
             b.R, b.R1, b.p, b.phi @ psi.conj().T, b.phi1 @ psi.conj().T,
             psi @ b.Jp, b.layout)
         assert _jp_worst(rotated) <= 1e-11
 
-    def test_unrotated_conjugation_rejected(self):
+    def test_unrotated_conjugation_rejected(self, admissible_commutant):
         # forgetting to rotate Jp with phi breaks the symmetry laws
         rng = np.random.default_rng(52)
         d = random_multiplicity_data(rng, 2, max_atoms=3, terminal_zero=False)
         b = hs.assemble(d)
-        psi = random_admissible_commutant(rng, b.layout)
+        psi = admissible_commutant(rng, b.layout)
         if np.linalg.norm(psi - np.eye(b.dim)) < 1e-6:
             pytest.skip("drawn commutant was trivial")
         with pytest.raises(BundleInvariantError):
@@ -372,8 +373,8 @@ class TestSigmaStarOrbit:
 
     def test_decay_profile(self, bundle_corpus):
         for b in bundle_corpus:
-            ref = [np.linalg.norm(x) for x in self.powers(b, self.K)]
-            profile = hs.stability_report(b, self.K).decay_profile
+            ref = [np.linalg.norm(x) for x in self.powers(b, DECAY_STEPS)]
+            profile = hs.stability_report(b).decay_profile
             np.testing.assert_allclose(profile, ref, rtol=1e-12,
                                        atol=1e-12 * np.linalg.norm(b.p))
 

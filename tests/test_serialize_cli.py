@@ -127,6 +127,24 @@ def test_stability_refuses_malformed_bundle_layout(tmp_path, capsys, rank2_data,
     assert json.loads(capsys.readouterr().err.strip())["error"] == "Schema"
 
 
+@pytest.mark.parametrize("key, value, law", [
+    ("lam", [5.0, 1.0], "R matches layout"),      # over R = diag(2, 1)
+    ("mu", [1.5, 0.0], "R1 matches layout"),      # R1's levels are sqrt(2) and 0
+], ids=["lam", "mu"])
+def test_stability_refuses_layout_contradicting_operators(tmp_path, capsys, rank2_data,
+                                                          key, value, law):
+    # a well-formed layout whose levels are not R's and R1's spectra
+    doc = serialize.emit_bundle(hs.assemble(rank2_data))
+    doc["layout"][key] = value
+    path = tmp_path / "bundle.json"
+    path.write_text(serialize.dumps(doc))
+    rc = main(["stability", "--input", str(path), "--output", str(tmp_path / "out")])
+    assert rc == 3
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] == "BundleInvariant"
+    assert err["message"].startswith(f"bundle violates: {law} (residual ")
+
+
 class TestCli:
     def test_synthesize_rank1(self, tmp_path):
         out = tmp_path / "synth"

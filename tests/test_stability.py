@@ -4,33 +4,34 @@ import pytest
 import hankel_spectra as hs
 from hankel_spectra.operator_assembly import assemble_from_operators, _measure_frame
 from hankel_spectra.random_data import random_multiplicity_data
+from hankel_spectra.stability import DECAY_STEPS
 
 
 class TestStabilityReport:
     def test_rank1(self, rank1_data):
         b = hs.assemble(rank1_data)
-        report = hs.stability_report(b, K=5)
+        report = hs.stability_report(b)
         assert report.spectral_radius_sigma <= 1e-14
-        np.testing.assert_allclose(report.decay_profile, [1, 0, 0, 0, 0, 0], atol=1e-14)
+        np.testing.assert_allclose(report.decay_profile, [1] + [0] * DECAY_STEPS, atol=1e-14)
         assert report.cnu_passed
 
     def test_rank2_profile_decays(self):
         s = hs.validate_intertwining([2.0, 1.0], [1.2, 0.0])
         b = hs.assemble(hs.CompactSpectralData.cyclic(s, [1.0, -1.0], [1.0, 0.0]))
-        report = hs.stability_report(b, K=200)
+        report = hs.stability_report(b)
         assert report.decay_profile[-1] <= 1e-6
         diffs = np.diff(report.decay_profile)
         assert diffs.max() <= 1e-12  # nonincreasing up to roundoff
 
     def test_intertwine_residual(self, bundle_corpus):
         for b in bundle_corpus:
-            report = hs.stability_report(b, K=5)
+            report = hs.stability_report(b)
             assert report.intertwine_residual <= 1e-12
             assert report.norm_A <= 1.0 + 1e-12
 
     def test_radius_below_one_on_corpus(self, bundle_corpus):
         for b in bundle_corpus:
-            report = hs.stability_report(b, K=2)
+            report = hs.stability_report(b)
             assert report.spectral_radius_sigma < 1.0
 
 
@@ -71,7 +72,7 @@ class TestCnuCertificate:
 
     def test_pass_implies_contraction(self, bundle_corpus):
         for b in bundle_corpus:
-            report = hs.stability_report(b, K=2)
+            report = hs.stability_report(b)
             if report.cnu_passed:
                 assert report.spectral_radius_sigma < 1.0
 
