@@ -18,7 +18,13 @@ import numpy as np
 from . import serialize
 from .clark import gp_convert_to_inner, gp_convert_to_measures
 from .errors import HankelSpectraError, SchemaError
-from .hankel_core import CLUSTER_GAP, TAIL_TOL, forward_extract, hankel_from_bundle
+from .hankel_core import (
+    CLUSTER_GAP,
+    TAIL_TOL,
+    forward_extract,
+    hankel_from_bundle,
+    truncation_singular_values,
+)
 from .operator_assembly import assemble
 from .random_data import random_cyclic_data, random_multiplicity_data
 from .roundtrip import run_roundtrip_trial
@@ -73,7 +79,8 @@ def _cmd_synthesize(cfg: JobConfig) -> int:
     _write_doc(out / "hankel.json", serialize.emit_hankel(h))
     _write_doc(out / "bundle.json", serialize.emit_bundle(bundle))
     _write_doc(out / "stability.json", serialize.emit_stability(report))
-    _write(out / "singular_values.csv", serialize.singular_values_csv(h.singular_values()))
+    _write(out / "singular_values.csv",
+           serialize.singular_values_csv(truncation_singular_values(bundle, h.N)))
     return 0
 
 

@@ -2,10 +2,13 @@
 
 The inverse direction walks one blocked orbit of the contraction Sigma*: the
 geometric decay of ``(Sigma*)^k p`` certifies the truncation, and the same
-columns give the symbol ``gamma_k = <q, (Sigma*)^k p>``.  The forward
+columns give the symbol ``gamma_k = <q, (Sigma*)^k p>``.  The truncation's
+singular values come from the bundle's factorization Gamma_N = C_N* O_N, as
+those of a square core whose size is the bundle's dimension.  The forward
 direction captures the truncation as a factor Gamma = Q B with a one-pass
-randomized range finder that applies Gamma by FFT from the symbol, reads
-Gamma S and the phase products off that factor, classifies the merged
+randomized range finder that applies Gamma by FFT from the symbol and takes
+its singular values from the k x k core B conj(Q), k the captured rank.  It
+reads Gamma S and the phase products off that factor, classifies the merged
 singular values into lambda and mu levels by multiplicity difference, and
 recovers weights and per-level circle measures (a point mass on a simple
 level) from the action of the conjugated operator on the level eigenspaces.
@@ -54,6 +57,9 @@ SKETCH_BLOCK = 8
 # is roundoff: three decades under the zero cut and about four over the FFT
 # products' noise (1e-15 of the top value at N = 385, 5e-15 at N = 4096).
 SKETCH_NOISE_RTOL = 1e-11
+# Sketch values kept once drawn: the first two blocks at TRUNCATION_CAP,
+# 2 * (2 * TRUNCATION_CAP * SKETCH_BLOCK) doubles, 1 MB.
+SKETCH_STREAM_CAP = 4 * TRUNCATION_CAP * SKETCH_BLOCK
 
 
 def _fft_length(n: int) -> int:
@@ -66,6 +72,60 @@ def _fft_length(n: int) -> int:
         if m == 1:
             return n
         n += 1
+
+
+def _generator(state: dict) -> np.random.Generator:
+    """A generator resumed from a saved PCG64 ``bit_generator.state``."""
+    rng = np.random.Generator(np.random.PCG64())
+    rng.bit_generator.state = state
+    return rng
+
+
+class _SketchStream:
+    """The values ``default_rng(seed).standard_normal`` draws, in order.
+
+    Successive draws of one generator continue one stream, so every range
+    finder call reads the same values from the stream's start as a fresh
+    generator would draw.  The first ``cap`` values are kept in one
+    read-only array, which grows by publishing a new array, never by writing
+    into the old one, as :class:`~.operator_assembly.Orbit` does; values
+    past ``cap`` are drawn anew on each read from the generator state saved
+    at ``cap``.
+    """
+
+    def __init__(self, seed: int, cap: int):
+        self.cap = cap
+        head = np.empty(0)
+        head.setflags(write=False)
+        # one tuple: a thread reads an array and the state after it together
+        self.head = head, np.random.default_rng(seed).bit_generator.state
+
+    def __call__(self, start: int, stop: int) -> np.ndarray:
+        """Values ``start`` to ``stop`` of the stream."""
+        head, state = self.head
+        if len(head) < min(stop, self.cap):
+            rng = _generator(state)
+            grow = min(self.cap, max(stop, 2 * len(head))) - len(head)
+            head = np.concatenate([head, rng.standard_normal(grow)])
+            head.setflags(write=False)
+            state = rng.bit_generator.state
+            self.head = head, state
+        if stop <= len(head):
+            return head[start:stop]
+        tail = _generator(state).standard_normal(stop - len(head))
+        return np.concatenate([head[start:], tail[max(0, start - len(head)):]])
+
+
+_SKETCH = _SketchStream(RANGE_FINDER_SEED, SKETCH_STREAM_CAP)
+
+
+def _sketch_block(N: int, start: int, width: int) -> np.ndarray:
+    """Columns ``start`` to ``start + width`` of the range finder's N-row
+    Gaussian sketch: the stream's next 2 N width values, the real parts
+    (N x width, row-major), then the imaginary parts."""
+    n = N * width
+    values = _SKETCH(2 * N * start, 2 * N * start + 2 * n)
+    return values[:n].reshape(N, width) + 1j * values[n:].reshape(N, width)
 
 
 @dataclass(frozen=True, eq=False)
@@ -169,6 +229,24 @@ def gamma_sequence(b: OperatorBundle, K: int) -> np.ndarray:
     return gamma
 
 
+def truncation_singular_values(b: OperatorBundle, N: int) -> np.ndarray:
+    """All N singular values of the bundle's truncation Gamma_N, descending:
+    those above ZERO_CUT_RTOL * sigma_1, then exact zeros.
+
+    gamma_{j+k} = <Sigma^k q, (Sigma*)^j p>, so Gamma_N = C* O with the
+    orbits C = [p, Sigma* p, ...] and O = [q, Sigma q, ...], dim x N each.
+    With the thin QR factors C* = Q_1 R_1 and O* = Q_2 R_2, Gamma_N =
+    Q_1 (R_1 R_2*) Q_2*, whose singular values are those of the square core
+    R_1 R_2* of size min(N, dim).
+    """
+    C = b.sigma_orbit(N)
+    O = orbit(b.sigma_star.conj().T, b.q, N)
+    core = np.linalg.qr(C.conj().T, mode="r") @ np.linalg.qr(O.conj().T, mode="r").conj().T
+    svals = np.linalg.svd(core, compute_uv=False)
+    keep = int(np.sum(svals > ZERO_CUT_RTOL * svals[0]))
+    return np.concatenate([svals[:keep], np.zeros(N - keep)])
+
+
 def certified_truncation(b: OperatorBundle, tail_tol: float = TAIL_TOL) -> int:
     """Smallest N >= dim + 2 with ||(Sigma*)^N p|| <= tail_tol (geometric
     decay), at most TRUNCATION_CAP.  The tails are read off the bundle's
@@ -268,23 +346,28 @@ def _top_singular_triplets(h: HankelMatrix):
     section 4.3).  The kept directions carry the projection's roundoff
     divided by their sketched values, so they are projected once more and
     orthonormalised: twice is enough once the block is normalised.  The
-    rows Y* Gamma of every block are stacked into B = Q* Gamma, and the SVD
-    of B gives the values and right vectors.  No power iteration runs: a
+    rows Y* Gamma of every block are stacked into B = Q* Gamma.  Gamma is
+    complex symmetric, so Gamma = Gamma^T = conj(Q) Q^T Gamma = Gamma conj(Q) Q^T
+    up to the capture residual, and B = M Q^T with the k x k core
+    M = B conj(Q), k the basis width: the SVD M = U S W* gives the values and
+    the right vectors V = conj(Q) W.  No power iteration runs: a
     certified truncation factors through its rank-d bundle,
-    Gamma_N = O_N C_N, so every singular value past d is roundoff, and one
+    Gamma_N = C_N* O_N, so every singular value past d is roundoff, and one
     product captures the range to machine precision.  Capture is verified
     (a block that found fewer directions than it drew, a last stacked value
     below the cut, or a full-width basis) before it returns.  Q (N x k,
     orthonormal) and B (k x N) are returned whole, with the directions
-    between the noise cut and the zero cut.
+    between the noise cut and the zero cut.  The sketch is block j of one
+    fixed Gaussian stream (:func:`_sketch_block`), drawn once per process
+    and read-only, so calls on several threads draw what a serial call does.
     """
     N = h.N
-    rng = np.random.default_rng(RANGE_FINDER_SEED)
     Q = np.empty((N, 0), dtype=complex)
     B = np.empty((0, N), dtype=complex)           # Q* Gamma
-    width, top = min(N, SKETCH_BLOCK), None
+    width, top, drawn = min(N, SKETCH_BLOCK), None, 0
     while True:
-        omega = rng.standard_normal((N, width)) + 1j * rng.standard_normal((N, width))
+        omega = _sketch_block(N, drawn, width)
+        drawn += width
         Y = h.apply(omega)
         Y -= Q @ (Q.conj().T @ Y)
         Y, R = np.linalg.qr(Y)
@@ -299,15 +382,16 @@ def _top_singular_triplets(h: HankelMatrix):
             B = np.vstack([B, h.apply(Y, adjoint=True).conj().T])
         if not Q.shape[1]:                        # Gamma = 0
             return np.zeros(0), np.empty((N, 0), dtype=complex), Q, B
-        # vectors are taken only for the stack that returns
+        # vectors are taken only for the core that returns
         done = found < width or Q.shape[1] == N
+        M = B @ Q.conj()
         if not done:
-            svals = np.linalg.svd(B, compute_uv=False)
+            svals = np.linalg.svd(M, compute_uv=False)
             done = svals[-1] <= ZERO_CUT_RTOL * svals[0]
         if done:
-            _, svals, vh = np.linalg.svd(B, full_matrices=False)
+            _, svals, wh = np.linalg.svd(M)
             keep = int(np.sum(svals > ZERO_CUT_RTOL * svals[0]))
-            return svals[:keep], vh[:keep].conj().T, Q, B
+            return svals[:keep], Q.conj() @ wh[:keep].conj().T, Q, B
         width = min(Q.shape[1], N - Q.shape[1])
 
 

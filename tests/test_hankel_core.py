@@ -1,4 +1,7 @@
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -11,8 +14,9 @@ from hankel_spectra.errors import (
     NotHankelError,
     TruncationTooSmallError,
 )
+from hankel_spectra.operator_assembly import orbit
 from hankel_spectra.random_data import random_cyclic_data, random_multiplicity_data
-from hankel_spectra.roundtrip import run_roundtrip_trial
+from hankel_spectra.roundtrip import atoms_difference, run_roundtrip_trial
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -323,6 +327,86 @@ class TestMatrixFreeOperator:
         h = hs.HankelMatrix.from_gamma(np.zeros(9), 5)
         np.testing.assert_array_equal(h.singular_values(), np.zeros(5))
 
+    def test_right_vectors_from_the_core(self):
+        # V = conj(Q) W from the k x k core: orthonormal, and right singular
+        # vectors of the dense Gamma to roundoff
+        N = 385
+        h = hs.HankelMatrix.from_gamma(_rational_symbol(np.random.default_rng(16), N, 16), N)
+        svals, V, _, _ = hs.hankel_core._top_singular_triplets(h)
+        G = h.entries
+        eps = np.finfo(float).eps
+        assert len(svals) == 16
+        assert np.linalg.norm(V.conj().T @ V - np.eye(16), 2) <= 64 * eps
+        residual = np.linalg.norm(G.conj().T @ (G @ V) - V * svals ** 2, 2)
+        assert residual <= 64 * eps * svals[0] ** 2
+
+
+class TestSketchStream:
+    @pytest.mark.parametrize("N", [385, 4096])
+    def test_blocks_are_fresh_generator_draws(self, N):
+        # blocks 8, 8, 16 read the stream as one generator per call drew them;
+        # at N = 4096 the third block lies past the retained values
+        rng = np.random.default_rng(17)
+        assert hs.hankel_core.RANGE_FINDER_SEED == 17
+        start = 0
+        for width in (8, 8, 16):
+            want = rng.standard_normal((N, width)) + 1j * rng.standard_normal((N, width))
+            got = hs.hankel_core._sketch_block(N, start, width)
+            assert got.tobytes() == want.tobytes()
+            start += width
+
+    def test_windows_across_the_cap(self):
+        # a stream keeping 100 values: windows before, across and past the
+        # cap read the generator's single stream
+        stream = hs.hankel_core._SketchStream(17, 100)
+        want = np.random.default_rng(17).standard_normal(1000)
+        for start, stop in [(0, 10), (50, 150), (90, 100), (120, 300), (400, 1000), (0, 40)]:
+            assert stream(start, stop).tobytes() == want[start:stop].tobytes()
+        assert len(stream.head[0]) == 100
+
+    def test_retained_values_stay_bounded(self):
+        # rank 17 at N = 4096 draws 8, 8 and 16 columns, twice the retained
+        # values; the rest are drawn anew, and 1 MB stays
+        N = 4096
+        h = hs.HankelMatrix.from_gamma(_rational_symbol(np.random.default_rng(17), N, 17), N)
+        assert len(hs.hankel_core._top_singular_triplets(h)[0]) == 17
+        head, _ = hs.hankel_core._SKETCH.head
+        assert len(head) <= hs.hankel_core.SKETCH_STREAM_CAP
+        assert head.nbytes <= 2 ** 20
+        assert not head.flags.writeable
+
+    def test_threads_draw_what_a_serial_call_draws(self, monkeypatch):
+        # four threads on two cores race to grow a fresh stream from empty;
+        # each result must match a serial call byte for byte
+        sizes = (385, 700, 1024, 2048)
+        mats = [hs.HankelMatrix.from_gamma(_rational_symbol(np.random.default_rng(N), N, 9), N)
+                for N in sizes]
+        serial = [hs.hankel_core._top_singular_triplets(h) for h in mats]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(3):
+                core = hs.hankel_core
+                monkeypatch.setattr(core, "_SKETCH",
+                                    core._SketchStream(core.RANGE_FINDER_SEED, core.SKETCH_STREAM_CAP))
+                with ThreadPoolExecutor(len(mats)) as pool:
+                    futures = [pool.submit(core._top_singular_triplets, h) for h in mats]
+                    threaded = [f.result(timeout=120) for f in futures]
+                for want, got in zip(serial, threaded, strict=True):
+                    for a, b in zip(want, got, strict=True):
+                        assert a.tobytes() == b.tobytes()
+        finally:
+            sys.setswitchinterval(interval)
+
+
+def test_truncation_singular_values_of_zero_symbol():
+    # q = 0 gives Gamma = 0: N zeros, no division by sigma_1
+    S = np.diag([0.5, 0.25]).astype(complex)
+    p = np.array([1.0, 1.0], dtype=complex)
+    b = SimpleNamespace(sigma_star=S, q=np.zeros(2, dtype=complex),
+                        sigma_orbit=lambda n: orbit(S, p, n))
+    np.testing.assert_array_equal(hs.hankel_core.truncation_singular_values(b, 6), np.zeros(6))
+
 
 class TestRankOneIdentity:
     def test_rank1_zero(self, rank1_data):
@@ -406,6 +490,20 @@ class TestForwardExtract:
         assert max(errs["lam"], errs["mu"]) <= 1e-8
         assert errs["weights"] <= 1e-6
         assert errs["phases"] <= 1e-6
+
+    def test_roundtrip_atom_on_the_seam(self):
+        # the atom at angle 0 comes back at angle about -1e-16 and sorts last;
+        # the recovery is exact, and so must the reported phase error be
+        s = hs.validate_intertwining([1.0], [0.0])
+        rho = hs.AtomicMeasure([1.0, -1.0, 1j], [0.3, 0.3, 0.4], circle=True, probability=True)
+        errs = run_roundtrip_trial(hs.CompactSpectralData(s, [rho], [None]))
+        assert errs["phases"] <= 1e-12
+
+    def test_atoms_difference_across_the_seam(self):
+        a, b = (hs.AtomicMeasure(np.exp(1j * np.array([t, -1.0])), [0.5, 0.5],
+                                 circle=True, probability=True) for t in (1e-12, -1e-12))
+        assert atoms_difference(a, b) <= 3e-12
+        assert atoms_difference(b, a) <= 3e-12
 
     def test_one_sketch(self, monkeypatch, rank2_data):
         # Gamma S is read off Gamma's captured subspace; the range finder

@@ -158,6 +158,24 @@ class TestCli:
         assert (out / "stability.json").exists()
         assert (out / "singular_values.csv").read_text().startswith("index,")
 
+    @pytest.mark.parametrize("name", ["rank1_cyclic", "rank1_multiplicity", "rank2_cyclic"])
+    @pytest.mark.parametrize("below_dim", [False, True])
+    def test_singular_values_csv_is_the_svd_of_hankel_json(self, tmp_path, name, below_dim):
+        # the CSV comes from the bundle's factorization, hankel.json from the
+        # symbol: the two must describe one matrix.  N = 1 lies below the
+        # dimension 2 of the rank-one multiplicity and rank-two bundles; the
+        # large tail bound lets that uncertified N through
+        path = FIXTURES / f"{name}.json"
+        out = tmp_path / "synth"
+        truncation = ["--truncation", "1", "--tol-tail", "10"] if below_dim else []
+        assert main(["synthesize", "--input", str(path), "--output", str(out)] + truncation) == 0
+        h = serialize.parse_hankel(serialize.loads((out / "hankel.json").read_text()))
+        rows = (out / "singular_values.csv").read_text().splitlines()[1:]
+        got = np.array([float(row.split(",")[1]) for row in rows])
+        ref = np.linalg.svd(h.entries, compute_uv=False)
+        assert got.shape == ref.shape == (h.N,)
+        assert np.abs(got - ref).max() <= 1e-14 * ref[0]
+
     def test_roundtrip_rank2(self, tmp_path):
         report_path = tmp_path / "report.json"
         rc = main(["roundtrip", "--input", str(FIXTURES / "rank2_cyclic.json"),
