@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -37,8 +38,10 @@ class Tolerances:
     cert_tail: float = TAIL_TOL
 
     def __post_init__(self):
-        if min(self.cluster_gap, self.cert_tail) <= 0:
-            raise SchemaError("tolerances must be positive")
+        # a range the value must lie in: NaN fails every comparison
+        for flag, value in (("--tol-gap", self.cluster_gap), ("--tol-tail", self.cert_tail)):
+            if not 0.0 < value < math.inf:
+                raise SchemaError(f"{flag} must be finite and positive, got {value}")
 
 
 @dataclass

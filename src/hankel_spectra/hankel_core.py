@@ -12,6 +12,9 @@ reads Gamma S and the phase products off that factor, classifies the merged
 singular values into lambda and mu levels by multiplicity difference, and
 recovers weights and per-level circle measures (a point mass on a simple
 level) from the action of the conjugated operator on the level eigenspaces.
+A multi-atom level's measure is the spectral measure of a small unitary,
+whose orthonormal eigenvectors come from ``eigh`` of its Cayley transform;
+numpy is the only numerical dependency.
 """
 
 from __future__ import annotations
@@ -20,7 +23,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     ClusterAmbiguityError,
@@ -410,28 +412,51 @@ def _shifted_triplets(V: np.ndarray, B: np.ndarray, cut: float):
 
 
 def _orthogonal_complement_in_level(basis: np.ndarray, u_proj: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of the level eigenspace minus the u direction."""
-    coords = basis.conj().T @ (u_proj / np.linalg.norm(u_proj))
-    comp = scipy.linalg.null_space(coords.conj()[None, :])
+    """Orthonormal basis of the level eigenspace minus the u direction.
+
+    In the basis's coordinates the unit u direction is c.  Rotated by the
+    phase of its first entry to a = conj(phase) c, with a_0 = |c_0| >= 0,
+    the Householder reflection H = I - 2 v v* / (v* v), v = a + e_0, is
+    unitary and sends e_0 to -a, so its other columns are orthonormal and
+    orthogonal to c.  v* v = 2 (1 + |c_0|) >= 2: the reflection never
+    divides by a small norm.
+    """
+    c = basis.conj().T @ (u_proj / np.linalg.norm(u_proj))
+    v = c * (np.conj(c[0]) / abs(c[0])) if c[0] else c.copy()
+    v[0] += 1.0
+    comp = np.eye(len(v))[:, 1:] - np.outer(v, v[1:].conj()) * (2.0 / np.vdot(v, v).real)
     return basis @ comp
 
 
 def _unitary_spectral_measure(U: np.ndarray, residuals: dict) -> AtomicMeasure:
     """Spectral measure of a small unitary matrix w.r.t. the first basis vector.
 
-    Uses the complex Schur form, which for a (numerically) normal matrix is an
-    orthonormal eigendecomposition even with close eigenvalues.
+    The eigenvectors are those of the Cayley transform
+    K = i (omega + U)(omega - U)^{-1} = i (2 omega (omega - U)^{-1} - I),
+    which is Hermitian for unitary U, so ``eigh`` returns them orthonormal
+    even for close or repeated eigenvalues, where ``eig`` need not.  An
+    eigenvalue omega e^{i phi} of U becomes x = -cot(phi / 2), and
+    omega (x - i) / (x + i) maps it back.  The pole omega sits in the middle
+    of the widest angular gap between the eigenvalues of U, at least pi / d
+    from each of them, which bounds ||(omega - U)^{-1}|| by
+    1 / (2 sin(pi / 2d)).  K is taken at its Hermitian part, since U is
+    unitary only up to roundoff.  The result depends on U alone.
     """
     d = U.shape[0]
     residuals["phase_unitarity"] = max(
         residuals.get("phase_unitarity", 0.0),
         float(np.linalg.norm(U.conj().T @ U - np.eye(d))))
-    T, Z = scipy.linalg.schur(U, output="complex")
-    atoms = np.diag(T).copy()
+    eigvals = np.linalg.eigvals(U)
     residuals["atom_modulus"] = max(
         residuals.get("atom_modulus", 0.0),
-        float(np.abs(np.abs(atoms) - 1.0).max()))
-    atoms /= np.abs(atoms)
+        float(np.abs(np.abs(eigvals) - 1.0).max()))
+    angles = sorted(np.angle(eigvals).tolist())
+    gaps = np.diff(angles + [angles[0] + 2.0 * np.pi])
+    j = int(np.argmax(gaps))
+    omega = np.exp(1j * (angles[j] + gaps[j] / 2.0))
+    K = 1j * (2.0 * omega * np.linalg.inv(omega * np.eye(d) - U) - np.eye(d))
+    x, Z = np.linalg.eigh((K + K.conj().T) / 2.0)
+    atoms = omega * (x - 1j) / (x + 1j)
     weights = np.abs(Z[0, :]) ** 2
     keep = weights > 1e-12
     atoms, weights = atoms[keep], weights[keep]

@@ -5,15 +5,18 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import hankel_spectra as hs
 from hankel_spectra import serialize
 from hankel_spectra.errors import (
     ClusterAmbiguityError,
+    DegenerateMeasureError,
     DegenerateSpectrumError,
     NotHankelError,
     TruncationTooSmallError,
 )
+from hankel_spectra.hankel_core import _orthogonal_complement_in_level, _unitary_spectral_measure
 from hankel_spectra.operator_assembly import orbit
 from hankel_spectra.random_data import random_cyclic_data, random_multiplicity_data
 from hankel_spectra.roundtrip import atoms_difference, run_roundtrip_trial
@@ -571,6 +574,135 @@ class TestForwardExtract:
         errs = run_roundtrip_trial(d)
         assert errs["phases"] <= 1e-6
         assert errs["weights"] <= 1e-6
+
+
+def haar_unitary(rng, d):
+    """A Haar-distributed d x d unitary (QR of a complex Gaussian, phases fixed)."""
+    Q, R = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+    return Q * (np.diag(R) / np.abs(np.diag(R)))
+
+
+def merged_measure(points, weights, tol=1e-6):
+    """Atoms closer than ``tol`` merged into the first of them, weights summed."""
+    atoms = []
+    for z, w in zip(points, weights):
+        near = [a for a in atoms if abs(a[0] - z) < tol]
+        if near:
+            near[0][1] += w
+        else:
+            atoms.append([z, w])
+    return np.array([a[0] for a in atoms]), np.array([a[1] for a in atoms])
+
+
+def schur_measure(U):
+    """The spectral measure of U w.r.t. e_0 from the complex Schur form, the
+    oracle: for a numerically normal U its vectors are orthonormal."""
+    T, Z = scipy.linalg.schur(U, output="complex")
+    return np.diag(T), np.abs(Z[0]) ** 2
+
+
+def measure_gap(measure, oracle):
+    """Largest atom or weight difference after merging both measures and
+    pairing each oracle atom with the nearest atom, or inf when the pairing
+    is not one to one."""
+    (p, w), (q, v) = merged_measure(measure.points, measure.weights), merged_measure(*oracle)
+    k = np.abs(q[:, None] - p[None, :]).argmin(axis=1)
+    if len(p) != len(q) or len(set(k.tolist())) != len(q):
+        return np.inf
+    return max(np.abs(p[k] - q).max(), np.abs(w[k] - v).max())
+
+
+class TestLevelMeasureKernels:
+    """The numpy kernels of a multi-atom level against scipy oracles.  The
+    oracle's own error is part of each gap, so a bound states the accuracy
+    both reach, not the kernel's alone."""
+
+    @pytest.mark.parametrize("d", range(2, 9))
+    def test_random_unitaries(self, d):
+        rng = np.random.default_rng([31, d])
+        for _ in range(50):
+            U = haar_unitary(rng, d)
+            residuals = {}
+            m = _unitary_spectral_measure(U, residuals)
+            assert measure_gap(m, schur_measure(U)) <= 1e-12
+            assert residuals["phase_unitarity"] <= 1e-13
+            assert residuals["atom_modulus"] <= 1e-13
+
+    def test_close_eigenvalues(self):
+        # a pair 1e-9 apart: its atoms merge, its weights add up, and the
+        # merged atom is either of the pair, so points agree to their distance
+        rng = np.random.default_rng(32)
+        for _ in range(100):
+            d = int(rng.integers(2, 9))
+            V = haar_unitary(rng, d)
+            z = np.exp(2j * np.pi * rng.random(d))
+            z[1] = z[0] * np.exp(1e-9j)
+            U = (V * z) @ V.conj().T
+            assert measure_gap(_unitary_spectral_measure(U, {}), schur_measure(U)) <= 2e-9
+
+    def test_eigenvalues_at_one_and_minus_one(self):
+        # the pole sits in the widest gap, away from both
+        rng = np.random.default_rng(33)
+        for d in [2] * 10 + [3, 4, 5, 6, 7, 8] * 10:
+            V = haar_unitary(rng, d)
+            z = np.exp(2j * np.pi * rng.random(d))
+            z[:2] = 1.0, -1.0
+            U = (V * z) @ V.conj().T
+            m = _unitary_spectral_measure(U, {})
+            assert measure_gap(m, schur_measure(U)) <= 1e-12
+            assert measure_gap(m, (z, np.abs(V[0]) ** 2)) <= 1e-12
+
+    def test_off_unitary_input(self):
+        # the phase step's U is unitary up to roundoff; 1e-12 off moves the
+        # eigenvectors by about 1e-12 over the eigenvalue gap on both sides
+        rng = np.random.default_rng(34)
+        for _ in range(200):
+            d = int(rng.integers(2, 9))
+            U = haar_unitary(rng, d)
+            U = U + 1e-12 * (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+            residuals = {}
+            m = _unitary_spectral_measure(U, residuals)
+            assert measure_gap(m, schur_measure(U)) <= 1e-10
+            assert 1e-13 <= residuals["phase_unitarity"] <= 1e-10
+
+    def test_repeated_eigenvalue(self):
+        # no basis of the repeated eigenspace is preferred, so its atoms may
+        # split into two coincident ones: a structured refusal, or the merged
+        # measure, never a wrong one
+        rng = np.random.default_rng(35)
+        refused = 0
+        for _ in range(100):
+            d = int(rng.integers(2, 9))
+            V = haar_unitary(rng, d)
+            z = np.exp(2j * np.pi * rng.random(d))
+            z[1] = z[0]
+            U = (V * z) @ V.conj().T
+            try:
+                m = _unitary_spectral_measure(U, {})
+            except DegenerateMeasureError as exc:
+                assert "coincide" in str(exc)
+                refused += 1
+                continue
+            assert measure_gap(m, (z, np.abs(V[0]) ** 2)) <= 1e-12
+        assert 0 < refused < 100
+
+    @pytest.mark.parametrize("first", ["zero", "complex", "real"])
+    def test_complement(self, first):
+        rng = np.random.default_rng(36)
+        for m in range(2, 7):
+            basis = np.linalg.qr(rng.standard_normal((12, m))
+                                 + 1j * rng.standard_normal((12, m)))[0]
+            c = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+            c[0] = {"zero": 0.0, "complex": 0.3 - 0.8j, "real": 0.5}[first]
+            u_proj = 2.5 * (basis @ c)
+            Y = _orthogonal_complement_in_level(basis, u_proj)
+            assert Y.shape == (12, m - 1)
+            assert np.abs(Y.conj().T @ Y - np.eye(m - 1)).max() <= 1e-14
+            assert np.abs(Y.conj().T @ u_proj).max() <= 1e-14 * np.linalg.norm(u_proj)
+            # the same subspace as the oracle's null space
+            oracle = basis @ scipy.linalg.null_space(
+                (basis.conj().T @ u_proj).conj()[None, :])
+            assert np.abs(Y @ Y.conj().T - oracle @ oracle.conj().T).max() <= 1e-14
 
 
 class TestIsometrySurrogate:

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -393,3 +396,59 @@ def test_reused_parser_keeps_no_options_between_calls(monkeypatch):
     assert (first.seed, first.tolerances.cluster_gap) == (5, 1e-4)
     assert second == cli.JobConfig(command="analyze", input=Path("hankel.json"),
                                    output=Path("b.json"))
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0", "-1"])
+@pytest.mark.parametrize("command, flag", [
+    ("synthesize", "--tol-tail"),
+    ("analyze", "--tol-gap"),
+    ("roundtrip", "--tol-gap"),
+    ("roundtrip", "--tol-tail"),
+])
+def test_tolerances_must_be_finite_and_positive(command, flag, value, tmp_path, capsys):
+    # a NaN tail bound used to walk 4096 steps and a NaN gap to name the band
+    # (nan, nan], both exit 3; an infinite tail bound certified N = dim + 2
+    # against no bound and exited 0
+    data = FIXTURES / "rank1_multiplicity.json"
+    hankel = tmp_path / "hankel.json"
+    h = hs.hankel_from_data(serialize.parse_spectral_data(serialize.loads(data.read_text())))
+    hankel.write_text(serialize.dumps(serialize.emit_hankel(h)))
+    source = {"synthesize": data, "analyze": hankel, "roundtrip": FIXTURES / "roundtrip_job.json"}
+    out = tmp_path / "out"
+    rc = main([command, "--input", str(source[command]), "--output", str(out), f"{flag}={value}"])
+    assert rc == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "Schema"
+    assert err["message"].startswith(f"{flag} must be finite and positive")
+    assert not out.exists()
+
+
+def test_cli_loads_no_scipy(tmp_path):
+    # a fresh interpreter, since this one holds scipy for the test oracles;
+    # every command runs, and the multiplicity fixture reaches the phase
+    # step of a multi-atom level
+    script = """
+import sys
+import hankel_spectra
+from hankel_spectra.cli import main
+
+fixtures, out = sys.argv[1:]
+for argv in (
+    ["synthesize", "--input", f"{fixtures}/rank1_multiplicity.json", "--output", f"{out}/syn"],
+    ["analyze", "--input", f"{out}/syn/hankel.json", "--output", f"{out}/fwd.json"],
+    ["roundtrip", "--input", f"{fixtures}/roundtrip_job.json", "--output", f"{out}/rt.json"],
+    ["convert-clark", "--input", f"{fixtures}/clark_levels.json", "--output", f"{out}/m.json"],
+    ["stability", "--input", f"{fixtures}/rank2_cyclic.json", "--output", f"{out}/stab"],
+):
+    assert main(argv) == 0, argv
+loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+assert not loaded, loaded
+"""
+    src = str(Path(hs.__file__).resolve().parents[1])
+    env = os.environ | {"PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", script, str(FIXTURES), str(tmp_path)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    fwd = json.loads((tmp_path / "fwd.json").read_text())
+    assert len(fwd["xi"][0]["value"]["atoms"]) == 2
