@@ -147,13 +147,6 @@ def _horner(c: np.ndarray, x):
     return c0
 
 
-def _herglotz_sum(rho: AtomicMeasure, z):
-    """``F(z) = sum_j w_j (1 + z conj(xi_j)) / (1 - z conj(xi_j))``."""
-    z = np.asarray(z, dtype=complex)
-    zc = z[..., None] * np.conj(rho.points)
-    return np.sum(rho.weights * (1.0 + zc) / (1.0 - zc), axis=-1)
-
-
 def clark_measure(theta: BlaschkeProduct) -> AtomicMeasure:
     """Circle probability measure of an inner function vanishing at the origin.
 

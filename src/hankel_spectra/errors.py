@@ -61,22 +61,12 @@ class BundleInvariantError(HankelSpectraError):
     code = "BundleInvariant"
 
 
-class NotHankelError(HankelSpectraError):
-    code = "NotHankel"
-
-
 class ClusterAmbiguityError(HankelSpectraError):
     code = "ClusterAmbiguity"
 
 
 class TruncationTooSmallError(HankelSpectraError):
     code = "TruncationTooSmall"
-
-
-class InternalConsistencyError(HankelSpectraError):
-    """Two independent computations of the same quantity disagree."""
-
-    code = "InternalConsistency"
 
 
 class ThetaAtOriginNonzeroError(HankelSpectraError):

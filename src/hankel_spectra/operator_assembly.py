@@ -43,6 +43,9 @@ DEFECT_TOL = 1e-10
 COMMUTE_RTOL = 1e-12
 CONJUGATION_TOL = 1e-12
 CLAMP_RTOL = 1e-12
+# Largest truncation N, auto or explicit; the symbol then runs to
+# gamma_{2N-2}, which the "Jp intertwines Sigma* and Sigma-hat*" bound covers.
+TRUNCATION_CAP = 4096
 # Columns of an orbit built one product at a time before it advances a block
 # per product.  32 is the value first tried.  Neighbours were timed on a
 # 2-core machine (hankel_from_data and stability_report over 128 generated
@@ -102,10 +105,11 @@ class OperatorBundle:
 
     ``Jp`` stores the conjugation as a matrix ``C`` acting by
     ``x -> C @ conj(x)``; ``C`` is unitary and symmetric, which encodes
-    involutivity.  ``r_norm``, ``r_half``, ``r1_eigh``,
-    ``sigma_hat_star``, ``A`` and the orbit of Sigma* are derived on first
-    read, each once per bundle.  Every array a bundle holds is read-only, so
-    the callers that share one bundle cannot change it under each other.
+    involutivity.  ``r_norm``, ``r_half``, ``r1_eigh``, ``sigma_hat_star``
+    (all but ``r_half`` read by the invariant check), ``A`` and the orbit of
+    Sigma* are derived on first read, each once per bundle.  Every array a
+    bundle holds is read-only, so the callers that share one bundle cannot
+    change it under each other.
     """
 
     dim: int
@@ -173,8 +177,8 @@ def orbit(M: np.ndarray, v: np.ndarray, count: int) -> np.ndarray:
 
     The first ORBIT_BLOCK columns are built one product at a time; every later
     block is ``M^ORBIT_BLOCK`` times the block before it, one matrix-matrix
-    product per block.  Every matrix walked here (Sigma*, Sigma-hat*, phi,
-    phi1 and their adjoints) is a contraction, so ``M^ORBIT_BLOCK`` has norm at
+    product per block.  Every matrix walked here (Sigma*, phi, phi1 and
+    their adjoints) is a contraction, so ``M^ORBIT_BLOCK`` has norm at
     most 1 and a block product adds the roundoff of one product, as a step of
     a serial walk does.  The symbol, the truncation tail, the decay profile
     and the Krylov ranks of the phase operators all read this array.
@@ -274,11 +278,21 @@ def bundle_residuals(b: OperatorBundle) -> dict:
     fixes p and commutes with R and R1, and a matrix T is Jp-symmetric when
     ``T* = C conj(T) conj(C)``.  Unitary and involutive make C symmetric, so
     ``<y, Jp x> = <x, Jp y>``; Jp is antilinear by construction.
+
+    The last row holds the symbol's two forms together: with
+    ``X = Sigma-hat* C - C conj(Sigma*)``, <q, (Sigma*)^k p> and
+    <(Sigma-hat*)^k p, q-hat> differ by at most k ||X|| ||p|| ||q|| plus the
+    "Jp fixes p" and "Jp unitary" residuals.  Its bound holds that term to
+    1e-10 max(1, ||p|| ||q||) up to k = 2 TRUNCATION_CAP - 2, where
+    ||p|| ||q|| bounds every |gamma_k| since Sigma* is a contraction.  Scaling
+    the spectrum changes neither the residual nor, once ||p|| ||q|| >= 1, the
+    bound (README, Numerical conventions).
     """
     r2 = b.r_norm**2
     eye = np.eye(b.dim)
     C = b.Jp
     commute = COMMUTE_RTOL * b.r_norm * b.dim
+    pq = float(np.linalg.norm(b.p) * np.linalg.norm(b.q))  # bounds every |gamma_k|
 
     def norm(M) -> float:
         return float(np.linalg.norm(M))
@@ -322,6 +336,9 @@ def bundle_residuals(b: OperatorBundle) -> dict:
         "Jp unitary": (norm(C.conj().T @ C - eye), CONJUGATION_TOL),
         "Jp commutes with R": (norm(C @ np.conj(b.R) - b.R @ C), commute),
         "Jp commutes with R1": (norm(C @ np.conj(b.R1) - b.R1 @ C), commute),
+        "Jp intertwines Sigma* and Sigma-hat*": (
+            norm(b.sigma_hat_star @ C - C @ np.conj(b.sigma_star)),
+            1e-10 * max(1.0, pq) / ((2 * TRUNCATION_CAP - 2) * pq)),
     }
 
 

@@ -19,7 +19,7 @@ from itertools import chain
 import numpy as np
 
 from .clark import BlaschkeProduct
-from .errors import SchemaError
+from .errors import BundleInvariantError, SchemaError
 from .hankel_core import ForwardData, HankelMatrix
 from .operator_assembly import BlockLayout, OperatorBundle, assemble_from_operators
 from .spectral_data import (
@@ -410,7 +410,19 @@ def emit_bundle(b: OperatorBundle) -> dict:
     }
 
 
+# Fields of a bundle.v1 that parsing derives from its operators.  Each is a
+# product of at most four dim x dim factors, one a solve with R or R^{1/2},
+# so its roundoff is a small multiple of dim * u * cond(R) (Higham, Accuracy
+# and Stability of Numerical Algorithms, 2002, sections 3.5 and 7.2); 1e-12,
+# about 4500 u, leaves room for that multiple and for another BLAS.
+DERIVED_RTOL = 1e-12
+_DERIVED = ("q", "qhat", "sigma_star", "sigma_hat_star", "A")
+
+
 def parse_bundle(doc: dict) -> OperatorBundle:
+    """The bundle of the document's operators, its invariants checked; each
+    derived field must match its recomputation, as a written one does bit
+    for bit."""
     _check_schema(doc, "bundle.v1")
     layout = parse_layout(_require(doc, "layout", "bundle.v1"))
     p = _parse_cvec(_require(doc, "p", "bundle.v1"), "p")
@@ -418,13 +430,23 @@ def parse_bundle(doc: dict) -> OperatorBundle:
     if type(dim) is not int or dim != len(p) or layout.dim != len(p):
         raise SchemaError(f"bundle.v1: dim {dim!r} and the layout's {layout.dim} indices "
                           f"must both equal len(p) = {len(p)}")
-    ops = {key: _parse_cmat(_require(doc, key, "bundle.v1"), key)
-           for key in ("R", "R1", "phi", "phi1", "Jp")}
-    for key, M in ops.items():
-        if M.shape != (dim, dim):
-            raise SchemaError(f"bundle.v1: {key} must be {dim} x {dim}, got {M.shape}")
-    return assemble_from_operators(ops["R"], ops["R1"], p, ops["phi"], ops["phi1"],
-                                   ops["Jp"], layout)
+    ops = {}
+    for key in ("R", "R1", "phi", "phi1", "Jp") + _DERIVED:
+        shape = (dim,) if key in ("q", "qhat") else (dim, dim)
+        parse = _parse_cvec if len(shape) == 1 else _parse_cmat
+        ops[key] = parse(_require(doc, key, "bundle.v1"), key)
+        if ops[key].shape != shape:
+            raise SchemaError(f"bundle.v1: {key} must have shape {shape}, got {ops[key].shape}")
+    b = assemble_from_operators(ops["R"], ops["R1"], p, ops["phi"], ops["phi1"],
+                                ops["Jp"], layout)
+    bound = DERIVED_RTOL * dim * float(np.linalg.cond(b.R))
+    for key in _DERIVED:
+        residual = float(np.linalg.norm(ops[key] - getattr(b, key)))
+        if not residual <= bound:
+            raise BundleInvariantError(
+                f"bundle.v1 field {key} differs from the value its operators give "
+                f"(residual {residual:.3e} > bound {bound:.3e})")
+    return b
 
 
 # stability.v1

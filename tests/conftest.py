@@ -34,6 +34,16 @@ def uncertified():
 
 
 @pytest.fixture
+def herglotz_sum():
+    """``F(rho, z) = sum_j w_j (1 + z conj(xi_j)) / (1 - z conj(xi_j))``, the
+    right side of the Clark identity (1 + theta)/(1 - theta) = F."""
+    def F(rho, z):
+        zc = np.asarray(z, dtype=complex)[..., None] * np.conj(rho.points)
+        return np.sum(rho.weights * (1.0 + zc) / (1.0 - zc), axis=-1)
+    return F
+
+
+@pytest.fixture
 def bundle_corpus():
     """A mixed bag of assembled bundles used by the structural-identity tests."""
     from hankel_spectra.random_data import random_cyclic_data, random_multiplicity_data

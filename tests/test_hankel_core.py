@@ -1,3 +1,4 @@
+import re
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -13,7 +14,6 @@ from hankel_spectra.errors import (
     ClusterAmbiguityError,
     DegenerateMeasureError,
     DegenerateSpectrumError,
-    NotHankelError,
     TruncationTooSmallError,
 )
 from hankel_spectra.hankel_core import _orthogonal_complement_in_level, _unitary_spectral_measure
@@ -106,6 +106,14 @@ class TestHankelFromData:
         np.testing.assert_allclose(h.gamma, hs.hankel_from_data(rank2_data).gamma[:11],
                                    rtol=1e-14, atol=1e-15)
 
+    @pytest.mark.parametrize("N", [0, hs.hankel_core.TRUNCATION_CAP + 1])
+    def test_explicit_truncation_outside_the_cap(self, rank2_data, N):
+        # the symbol law covers coefficients up to 2 TRUNCATION_CAP - 2
+        with pytest.raises(TruncationTooSmallError):
+            hs.hankel_from_data(rank2_data, N=N)
+        cap = hs.hankel_core.TRUNCATION_CAP
+        assert hs.hankel_from_data(rank2_data, N=cap).N == cap
+
     def test_auto_truncation_cap(self):
         # a contraction this close to the circle cannot certify within the cap
         s = hs.validate_intertwining([1.0, 0.9], [0.999, 0.899])
@@ -148,9 +156,9 @@ class TestOneOrbitWalk:
         starts = [c for c in calls if np.array_equal(c[0], b.sigma_star)
                   and np.array_equal(c[1], b.p)]
         assert len(starts) == 1
-        # the cross-check walks Sigma-hat* once, over every emitted gamma
-        hats = [c for c in calls if np.array_equal(c[0], b.sigma_hat_star)]
-        assert len(hats) == 1 and hats[0][2] == 2 * h.N - 1
+        # no orbit of Sigma-hat*: the bundle law stands for the second formula
+        assert not [c for c in calls if np.array_equal(c[0], b.sigma_hat_star)]
+        assert h.N > 64
 
     def test_explicit_truncation_boundary(self, bundle_corpus, data):
         # c - 1 fails the tail bound only when it is still above the dim + 2 floor
@@ -167,31 +175,82 @@ class TestOneOrbitWalk:
 
 
 class TestSymbolCrossCheck:
+    """The two symbol formulas agree by the bundle law "Jp intertwines Sigma*
+    and Sigma-hat*", checked once at assembly in place of a second walk."""
+
+    ROW = "Jp intertwines Sigma* and Sigma-hat*"
+
     def test_inconsistent_tuple_is_caught(self, rank2_data):
         # a conjugation that fails to fix p breaks the identity between the
-        # two symbol formulas, which gamma_sequence refuses
-        from hankel_spectra.errors import InternalConsistencyError
+        # two symbol formulas; assembly refuses the tuple
+        from hankel_spectra.errors import BundleInvariantError
         from hankel_spectra.operator_assembly import _from_operators
 
         b = hs.assemble(rank2_data)
         bad_conjugation = np.diag(np.exp(1j * np.array([0.4, 1.3])))
-        broken = _from_operators(b.R, b.R1, b.p, b.phi, b.phi1, bad_conjugation, b.layout)
-        with pytest.raises(InternalConsistencyError):
-            hs.gamma_sequence(broken, 10)
+        ops = (b.R, b.R1, b.p, b.phi, b.phi1, bad_conjugation, b.layout)
+        with pytest.raises(BundleInvariantError):
+            hs.assemble_from_operators(*ops)
+        residual, bound = hs.bundle_residuals(_from_operators(*ops))[self.ROW]
+        assert residual > bound
 
+    @pytest.mark.parametrize("seed", [2, 9])
+    @pytest.mark.parametrize("which", ["phi", "phi1"])
+    def test_asymmetric_phase_rotation_is_refused(self, which, seed):
+        # phi (phi1) times exp(i eps G), G real symmetric inside the
+        # three-dimensional eigenspace of R at lambda_1 (of R1 at mu_1): it
+        # commutes with R (R1), stays unitary (a partial isometry) and is
+        # Jp-asymmetric by about eps, inside the 1e-9 * dim of its
+        # "Jp-symmetric" row.  Walking both symbol formulas to 2N - 2 tells
+        # the phi rotation by a drift of 5e-10 to 8e-10 and misses the phi1
+        # one: with phi symmetric and commuting with R, and phi1 commuting
+        # with R1, the two formulas are transposes of each other.  The law
+        # row refuses both, and is the only row to.
+        from hankel_spectra.errors import BundleInvariantError
+        from hankel_spectra.operator_assembly import _from_operators
+        from hankel_spectra.spectral_data import AtomicMeasure
 
-class TestHankelMatrixIngestion:
-    def test_from_entries_accepts_hankel(self, rank2_data, uncertified):
-        h = uncertified(rank2_data, 12)
-        h2 = hs.HankelMatrix.from_entries(h.entries)
-        np.testing.assert_allclose(h2.gamma, h.gamma, atol=1e-14)
+        rng = np.random.default_rng(seed)
+        s = hs.validate_intertwining([1.0, 0.5], [0.8, 0.2])
+        atoms = AtomicMeasure(points=np.exp(2j * np.pi * np.sort(rng.random(3))),
+                              weights=rng.dirichlet(np.ones(3)), circle=True, probability=True)
+        point = AtomicMeasure.point_mass(np.exp(1j * rng.random()))
+        b = hs.assemble(hs.CompactSpectralData(s, [atoms, point], [atoms, point]))
+        level, op = (1.0, b.R) if which == "phi" else (0.8, b.R1)
+        evals, vecs = np.linalg.eigh(op.real)
+        v = vecs[:, np.abs(evals - level) < 1e-9]
+        assert v.shape[1] == 3
+        w, Z = np.linalg.eigh(1e-9 * v @ np.diag([1.0, -1.0, 0.5]) @ v.T)
+        rotation = (Z * np.exp(1j * w)) @ Z.conj().T
+        ops = {"R": b.R, "R1": b.R1, "p": b.p, "phi": b.phi, "phi1": b.phi1, "C": b.Jp,
+               "layout": b.layout}
+        ops[which] = ops[which] @ rotation
+        rows = hs.bundle_residuals(_from_operators(**ops))
+        assert [name for name, (r, bound) in rows.items() if not r <= bound] == [self.ROW]
+        with pytest.raises(BundleInvariantError, match=re.escape(self.ROW)):
+            hs.assemble_from_operators(**ops)
 
-    def test_from_entries_rejects_non_hankel(self):
-        rng = np.random.default_rng(4)
-        m = rng.standard_normal((6, 6))
-        m = m + m.T  # symmetric but not Hankel
-        with pytest.raises(NotHankelError):
-            hs.HankelMatrix.from_entries(m)
+    @pytest.mark.parametrize("scale", [1e2, 1e3])
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_scaled_spectrum_is_accepted(self, seed, scale):
+        # multiplying lambda and mu by s leaves Sigma*, Sigma-hat*, q and C
+        # as they are and multiplies p and gamma by s: the row's residual is
+        # the same roundoff at every scale, so its bound must not shrink as
+        # ||p|| grows.  A bound without the max(1, ||p|| ||q||) factor refuses
+        # these draws at s = 1e2.
+        d = random_multiplicity_data(np.random.default_rng(seed), 6, max_contraction=0.97)
+        scaled = hs.CompactSpectralData(
+            hs.validate_intertwining(scale * d.spectrum.lam, scale * d.spectrum.mu),
+            d.rho, d.rho1)
+        b1, b = hs.assemble(d), hs.assemble(scaled)
+        assert all(r <= bound for r, bound in hs.bundle_residuals(b).values())
+        h1, h = hs.hankel_from_data(d), hs.hankel_from_data(scaled)
+        K = 2 * h1.N - 2
+        scale_gamma = float(np.abs(h1.gamma).max())
+        np.testing.assert_allclose(h.gamma[:K + 1] / scale, h1.gamma, rtol=0,
+                                   atol=1e-12 * scale_gamma)
+        np.testing.assert_allclose(hs.gamma_sequence(b, K) / scale, hs.gamma_sequence(b1, K),
+                                   rtol=0, atol=1e-12 * scale_gamma)
 
 
 def _rational_symbol(rng, N, poles=5, modulus=(0.5, 0.9)):

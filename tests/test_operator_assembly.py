@@ -252,7 +252,8 @@ class TestLawTable:
             "R hermitian", "rank-one relation", "phi unitary", "phi commutes with R",
             "phi1 commutes with R1", "defect identity", "Jp involutive", "Jp fixes p",
             "phi Jp-symmetric", "phi1 Jp-symmetric", "phi1 partial isometry",
-            "Jp unitary", "Jp commutes with R", "Jp commutes with R1"]
+            "Jp unitary", "Jp commutes with R", "Jp commutes with R1",
+            "Jp intertwines Sigma* and Sigma-hat*"]
     EXACT = ["Jp unitary", "Jp commutes with R", "Jp commutes with R1"]
 
     def test_rows_hold_on_built_bundles(self, bundle_corpus):
@@ -452,10 +453,12 @@ class TestLazyFields:
         rng = np.random.default_rng(7)
         for d in (rank2_data, random_multiplicity_data(rng, 2, max_atoms=3)):
             b = hs.assemble(d)
-            assert "r_norm" in vars(b)  # read by validation, then cached
-            assert "A" not in vars(b) and "sigma_hat_star" not in vars(b)
+            # read by validation, then cached; Sigma-hat* by the law row
+            # "Jp intertwines Sigma* and Sigma-hat*"
+            assert "r_norm" in vars(b) and "sigma_hat_star" in vars(b)
+            assert "A" not in vars(b)
             A = b.A
-            assert "A" in vars(b) and "sigma_hat_star" not in vars(b)
+            assert "A" in vars(b)
             assert b.A is A
             hat = b.sigma_hat_star
             assert b.sigma_hat_star is hat

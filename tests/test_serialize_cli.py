@@ -118,8 +118,11 @@ def _set_layout(key, value):
     _set_layout("lam", lambda lay: []),
     lambda doc: doc.__setitem__("dim", 3),
     lambda doc: doc.__setitem__("R", [[[1.0, 0.0]]]),               # 1 x 1 in a dim 2 bundle
+    lambda doc: doc.__setitem__("q", doc["q"][:1]),                 # derived field, wrong shape
+    lambda doc: doc.pop("A"),                                       # derived field missing
 ], ids=["index_out_of_range", "non_integer_index", "blocks_not_a_list", "mu_short",
-        "mu_blocks_short", "lam_empty", "wrong_dim", "matrix_shape"])
+        "mu_blocks_short", "lam_empty", "wrong_dim", "matrix_shape", "derived_shape",
+        "derived_missing"])
 def test_stability_refuses_malformed_bundle_layout(tmp_path, capsys, rank2_data, corrupt):
     doc = serialize.emit_bundle(hs.assemble(rank2_data))
     corrupt(doc)
@@ -146,6 +149,49 @@ def test_stability_refuses_layout_contradicting_operators(tmp_path, capsys, rank
     err = json.loads(capsys.readouterr().err.strip())
     assert err["error"] == "BundleInvariant"
     assert err["message"].startswith(f"bundle violates: {law} (residual ")
+
+
+@pytest.mark.parametrize("key", ["q", "qhat", "sigma_star", "sigma_hat_star", "A"])
+def test_stability_refuses_derived_field_contradicting_operators(tmp_path, capsys, key):
+    # a synthesized bundle.json with one field that parsing recomputes zeroed
+    out = tmp_path / "synth"
+    assert main(["synthesize", "--input", str(FIXTURES / "rank2_cyclic.json"),
+                 "--output", str(out)]) == 0
+    doc = json.loads((out / "bundle.json").read_text())
+    assert np.abs(np.array(doc[key])).max() > 0.1
+    doc[key] = np.zeros(np.shape(doc[key])).tolist()
+    path = tmp_path / "bundle.json"
+    path.write_text(serialize.dumps(doc))
+    rc = main(["stability", "--input", str(path), "--output", str(tmp_path / "out")])
+    assert rc == 3
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] == "BundleInvariant"
+    assert err["message"].startswith(f"bundle.v1 field {key} differs")
+    assert not (tmp_path / "out").exists()
+
+
+def test_stability_of_a_written_bundle_matches_its_data(tmp_path):
+    # the document's derived fields match their recomputation bit for bit,
+    # and the report is the one the spectral data give
+    for name in ("rank1_cyclic.json", "rank2_cyclic.json", "rank1_multiplicity.json"):
+        out = tmp_path / name
+        assert main(["synthesize", "--input", str(FIXTURES / name), "--output", str(out)]) == 0
+        assert main(["stability", "--input", str(out / "bundle.json"),
+                     "--output", str(out / "from_bundle")]) == 0
+        assert main(["stability", "--input", str(FIXTURES / name),
+                     "--output", str(out / "from_data")]) == 0
+        for f in ("stability.json", "decay_profile.csv"):
+            assert (out / "from_bundle" / f).read_bytes() == (out / "from_data" / f).read_bytes()
+
+
+def test_truncation_above_the_cap_exit_3(tmp_path, capsys):
+    # explicit N must lie in 1..TRUNCATION_CAP, the range the symbol law covers
+    rc = main(["synthesize", "--input", str(FIXTURES / "rank2_cyclic.json"),
+               "--output", str(tmp_path / "out"), "--truncation", "4097"])
+    assert rc == 3
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err == {"error": "TruncationTooSmall", "message": "N = 4097 must lie in 1..4096"}
+    assert not (tmp_path / "out").exists()
 
 
 class TestCli:
@@ -205,16 +251,6 @@ class TestCli:
         path.write_text(serialize.dumps(bad))
         rc = main(["analyze", "--input", str(path), "--output", str(tmp_path / "x.json")])
         assert rc == 3  # ClusterAmbiguity from the forward problem
-
-    def test_ingest_corrupted_matrix(self):
-        # a symmetric non-Hankel matrix is rejected with the NotHankel code
-        from hankel_spectra.errors import NotHankelError
-
-        rng = np.random.default_rng(0)
-        m = rng.standard_normal((5, 5))
-        with pytest.raises(NotHankelError) as err:
-            hs.HankelMatrix.from_entries(m + m.T)
-        assert err.value.code == "NotHankel"
 
     def test_schema_violation_exit_2(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
