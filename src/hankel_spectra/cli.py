@@ -26,7 +26,7 @@ from .hankel_core import (
     hankel_from_bundle,
     truncation_singular_values,
 )
-from .operator_assembly import assemble
+from .operator_assembly import TRUNCATION_CAP, assemble
 from .random_data import random_cyclic_data, random_multiplicity_data
 from .roundtrip import run_roundtrip_trial
 from .stability import stability_report
@@ -56,8 +56,9 @@ class JobConfig:
     def __post_init__(self):
         if self.truncation != "auto":
             self.truncation = int(self.truncation)
-            if self.truncation < 1:
-                raise SchemaError("truncation must be >= 1 or 'auto'")
+            if not 1 <= self.truncation <= TRUNCATION_CAP:
+                raise SchemaError(f"--truncation must be 'auto' or lie in 1..{TRUNCATION_CAP}, "
+                                  f"got {self.truncation}")
 
 
 def _read_doc(path: Path) -> dict:

@@ -9,10 +9,10 @@ those of a square core whose size is the bundle's dimension.  The forward
 direction captures the truncation as a factor Gamma = Q B with a one-pass
 randomized range finder that applies Gamma by FFT from the symbol and takes
 its singular values from the k x k core B conj(Q), k the captured rank.  It
-reads Gamma S and the phase products off that factor, classifies the merged
-singular values into lambda and mu levels by multiplicity difference, and
-recovers weights and per-level circle measures (a point mass on a simple
-level) from the action of the conjugated operator on the level eigenspaces.
+reads Gamma S, the level eigenspaces and the phase products off that core,
+classifies the merged singular values into lambda and mu levels by
+multiplicity difference, and recovers weights and per-level circle measures
+(a point mass on a simple level) from the conjugated operator's action.
 A multi-atom level's measure is the spectral measure of a small unitary,
 whose orthonormal eigenvectors come from ``eigh`` of its Cayley transform;
 numpy is the only numerical dependency.
@@ -131,9 +131,9 @@ class HankelMatrix:
     """The N x N truncation (gamma_{j+k}) of a Hankel operator, held as its
     2N - 1 symbol coefficients.
 
-    Gamma and Gamma* act through :meth:`apply` by FFT; Gamma S acts through
-    the factor the range finder captures.  The dense ``entries`` are derived
-    only on request.
+    Gamma and Gamma* act through :meth:`apply` by FFT; the forward problem
+    reads Gamma S off the rank-sized core of the factor the range finder
+    captures.  The dense ``entries`` are derived only on request.
     """
 
     gamma: np.ndarray
@@ -304,7 +304,8 @@ def _cluster_levels(svals_desc: np.ndarray, smax: float, gap: float):
 
 def _top_singular_triplets(h: HankelMatrix):
     """Singular values of Gamma above ZERO_CUT_RTOL * sigma_1, descending,
-    their right vectors, and the captured factor Gamma = Q B.
+    their right vectors W in conj(Q) coordinates, the core M = B conj(Q), and
+    the captured factor Gamma = Q B.
 
     A seeded blocked randomized range finder (Halko-Martinsson-Tropp,
     section 4.4, in the randQB_b form of Martinsson-Voronin), driven through
@@ -321,17 +322,18 @@ def _top_singular_triplets(h: HankelMatrix):
     rows Y* Gamma of every block are stacked into B = Q* Gamma.  Gamma is
     complex symmetric, so Gamma = Gamma^T = conj(Q) Q^T Gamma = Gamma conj(Q) Q^T
     up to the capture residual, and B = M Q^T with the k x k core
-    M = B conj(Q), k the basis width: the SVD M = U S W* gives the values and
-    the right vectors V = conj(Q) W.  No power iteration runs: a
-    certified truncation factors through its rank-d bundle,
-    Gamma_N = C_N* O_N, so every singular value past d is roundoff, and one
-    product captures the range to machine precision.  Capture is verified
-    (a block that found fewer directions than it drew, a last stacked value
-    below the cut, or a full-width basis) before it returns.  Q (N x k,
-    orthonormal) and B (k x N) are returned whole, with the directions
-    between the noise cut and the zero cut.  The sketch is block j of one
-    fixed Gaussian stream (:func:`_sketch_block`), drawn once per process
-    and read-only, so calls on several threads draw what a serial call does.
+    M = B conj(Q), k the basis width, which is Gamma in conj(Q) coordinates:
+    the SVD M = U S W* gives the values and the right vectors conj(Q) W.
+    No power iteration runs: a certified truncation factors through its
+    rank-d bundle, Gamma_N = C_N* O_N, so every singular value past d is
+    roundoff, and one product captures the range to machine precision.
+    Capture is verified (a block that found fewer directions than it drew, a
+    last stacked value below the cut, or a full-width basis) before it
+    returns.  M (k x k), Q (N x k, orthonormal) and B (k x N) are returned
+    whole, with the directions between the noise cut and the zero cut.  The
+    sketch is block j of one fixed Gaussian stream (:func:`_sketch_block`),
+    drawn once per process and read-only, so calls on several threads draw
+    what a serial call does.
     """
     N = h.N
     Q = np.empty((N, 0), dtype=complex)
@@ -352,33 +354,19 @@ def _top_singular_triplets(h: HankelMatrix):
             Y = np.linalg.qr(Y)[0]
             Q = np.hstack([Q, Y])
             B = np.vstack([B, h.apply(Y, adjoint=True).conj().T])
+        M = B @ Q.conj()
         if not Q.shape[1]:                        # Gamma = 0
-            return np.zeros(0), np.empty((N, 0), dtype=complex), Q, B
+            return np.zeros(0), np.empty((0, 0), dtype=complex), M, Q, B
         # vectors are taken only for the core that returns
         done = found < width or Q.shape[1] == N
-        M = B @ Q.conj()
         if not done:
             svals = np.linalg.svd(M, compute_uv=False)
             done = svals[-1] <= ZERO_CUT_RTOL * svals[0]
         if done:
             _, svals, wh = np.linalg.svd(M)
             keep = int(np.sum(svals > ZERO_CUT_RTOL * svals[0]))
-            return svals[:keep], Q.conj() @ wh[:keep].conj().T, Q, B
+            return svals[:keep], wh[:keep].conj().T, M, Q, B
         width = min(Q.shape[1], N - Q.shape[1])
-
-
-def _shifted_triplets(V: np.ndarray, B: np.ndarray, cut: float):
-    """Singular values of Gamma S above ``cut`` and their right vectors, read
-    off the factor Gamma = Q B of :func:`_top_singular_triplets`.
-
-    Gamma S x = Gamma (S x) = Q B[:, 1:] x[:-1], and Q is orthonormal, so
-    (Gamma S) V has the singular values of the small matrix B[:, 1:] V[:-1].
-    Since ran (Gamma S)* lies in ran Gamma* = span V, this Rayleigh-Ritz
-    step gives every singular triplet of Gamma S above the cut.
-    """
-    _, svals, wh = np.linalg.svd(B[:, 1:] @ V[:-1], full_matrices=False)
-    keep = svals > cut
-    return svals[keep], V @ wh[keep].conj().T
 
 
 def _orthogonal_complement_in_level(basis: np.ndarray, u_proj: np.ndarray) -> np.ndarray:
@@ -457,10 +445,13 @@ def forward_extract(h: HankelMatrix, cluster_gap: float = CLUSTER_GAP) -> Forwar
 
     The rank-one identity |Gamma|^2 - |Gamma S|^2 = u u*, u = Gamma* e_0,
     puts ran (Gamma S)* inside ran Gamma*, so one range finder for Gamma
-    serves both operators: its factor Gamma = Q B gives every singular
-    triplet of Gamma S above the zero cut (:func:`_shifted_triplets`), and
-    every product with Gamma or Gamma S below runs through Q B.  The merged
-    singular values are clustered once; at each level
+    serves both operators.  Its capture Gamma = Q B, u's mass and the
+    identity residual are the only N-sized work; the rest runs in the
+    coordinates c of x = conj(Q) c, which keep inner products, where
+    Gamma x = Q M c and Gamma S x = Q M1 c with M = B conj(Q) and
+    M1 = B[:, 1:] conj(Q[:-1]), and u projects to Q^T u.  The SVD of M1 W,
+    W the kept right vectors of M, gives Gamma S's triplets above the zero
+    cut.  The merged singular values are clustered once; at each level
     dim ker(|Gamma| - s) - dim ker(|Gamma S| - s) is +1
     at a lambda level and -1 at a mu level, and the weight is the u-mass on
     that operator's eigenspace.  n lambda levels against n - 1 mu levels
@@ -471,7 +462,8 @@ def forward_extract(h: HankelMatrix, cluster_gap: float = CLUSTER_GAP) -> Forwar
     x -> conj(Gamma x)/s acts as the phase times the conjugation, and the
     conjugation is known there -- it fixes the normalized u-projection and
     acts by s^{-1} conj(Gamma S .) on the rest of a lambda eigenspace (where
-    the second polar factor is the identity), symmetrically for mu levels.
+    the second polar factor is the identity), symmetrically for mu levels;
+    in coordinates the map is c -> conj(M c)/s.
     """
     u = np.conj(h.gamma[: h.N])     # Gamma* e_0
     u_mass = float(np.vdot(u, u).real)
@@ -479,10 +471,15 @@ def forward_extract(h: HankelMatrix, cluster_gap: float = CLUSTER_GAP) -> Forwar
         raise DegenerateSpectrumError("u = Gamma* e_0 vanishes, so no level carries u-mass")
     residuals: dict = {}
 
-    svals, V, Q, B = _top_singular_triplets(h)   # u != 0, so Gamma has a value above the cut
+    svals, W, M, Q, B = _top_singular_triplets(h)   # u != 0, so Gamma has a value above the cut
+    M1, u_c = B[:, 1:] @ Q[:-1].conj(), Q.T @ u    # Gamma S and u in conj(Q) coordinates
     smax = float(svals[0])
-    svals1, V1 = _shifted_triplets(V, B, ZERO_CUT_RTOL * smax)
-    kernel_u = abs(u_mass - float(np.linalg.norm(V1.conj().T @ u) ** 2))  # u-mass on ker Gamma S
+    identity = rank_one_identity_residual(h) / smax ** 2
+
+    _, svals1, wh1 = np.linalg.svd(M1 @ W, full_matrices=False)
+    keep = svals1 > ZERO_CUT_RTOL * smax
+    svals1, W1 = svals1[keep], W @ wh1[keep].conj().T
+    kernel_u = abs(u_mass - float(np.linalg.norm(W1.conj().T @ u_c) ** 2))  # u-mass on ker Gamma S
 
     values = np.concatenate([svals, svals1])
     order = np.argsort(-values, kind="stable")
@@ -494,14 +491,14 @@ def forward_extract(h: HankelMatrix, cluster_gap: float = CLUSTER_GAP) -> Forwar
         own, shift = np.sort(idx[idx < d]), np.sort(idx[idx >= d]) - d
         diff = len(own) - len(shift)
         if diff == 1:
-            level_values, basis, levels = svals[own], V[:, own], lam_levels
+            level_values, basis, levels = svals[own], W[:, own], lam_levels
         elif diff == -1:
-            level_values, basis, levels = svals1[shift], V1[:, shift], mu_levels
+            level_values, basis, levels = svals1[shift], W1[:, shift], mu_levels
         else:
             raise ClusterAmbiguityError(
                 f"singular value {values[idx[0]]:.6e} has multiplicity difference {diff} "
                 "between |Gamma| and |Gamma S|; the rank-one identity allows +1 or -1")
-        coords = basis.conj().T @ u
+        coords = basis.conj().T @ u_c
         levels.append({"value": float(np.mean(level_values)), "basis": basis,
                        "weight": float(np.linalg.norm(coords) ** 2), "u_proj": basis @ coords})
         spread = max(spread, float(values[idx[0]] - values[idx[-1]]))
@@ -512,7 +509,6 @@ def forward_extract(h: HankelMatrix, cluster_gap: float = CLUSTER_GAP) -> Forwar
             f"{len(mu_levels)} mu levels cannot interlace {n} lambda levels")
     # the levels rest on the rank-one identity, which a truncation keeps only
     # up to its tail; its defect must stay below the top level's join threshold
-    identity = rank_one_identity_residual(h) / smax ** 2
     if identity > CLUSTER_JOIN_FRAC * cluster_gap:
         raise TruncationTooSmallError(
             f"rank-one identity residual {identity:.3e} * sigma_1^2 exceeds "
@@ -527,27 +523,24 @@ def forward_extract(h: HankelMatrix, cluster_gap: float = CLUSTER_GAP) -> Forwar
     residuals["cluster_spread"] = spread / smax
     residuals["kernel_u_mass"] = kernel_u / u_mass
 
-    def product(x, shifted):
-        """Gamma x, or Gamma S x when ``shifted``, through the factor Q B."""
-        return Q @ (B[:, 1:] @ x[:-1] if shifted else B @ x)
-
     def phase_of(level, shifted):
         """Circle measure of the polar factor of Gamma (Gamma S when
         ``shifted``) on one level: on a simple level the point mass of its
         phase, found in closed form."""
         s = level["value"]
+        own, other = (M1, M) if shifted else (M, M1)
         uk = level["u_proj"]
         uhat = uk / np.linalg.norm(uk)
         if level["basis"].shape[1] == 1:
-            val = complex(np.vdot(uhat, np.conj(product(uhat, shifted)) / s))
+            val = complex(np.vdot(uhat, np.conj(own @ uhat) / s))
             residuals["phase_modulus"] = max(
                 residuals.get("phase_modulus", 0.0), abs(abs(val) - 1.0))
             return AtomicMeasure.point_mass(val / abs(val))
         Y = _orthogonal_complement_in_level(level["basis"], uk)
-        JY = np.conj(product(Y, not shifted)) / s
-        W = np.column_stack([uhat, Y])
-        JW = np.column_stack([uhat, JY])
-        U = W.conj().T @ (np.conj(product(JW, shifted)) / s)
+        JY = np.conj(other @ Y) / s
+        E = np.column_stack([uhat, Y])
+        JE = np.column_stack([uhat, JY])
+        U = E.conj().T @ (np.conj(own @ JE) / s)
         return _unitary_spectral_measure(U, residuals)
 
     rho = tuple(phase_of(lv, False) for lv in lam_levels)

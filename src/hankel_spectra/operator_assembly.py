@@ -246,14 +246,18 @@ def _psd_sqrt(eig, scale: float) -> np.ndarray:
 
 
 def _from_operators(R, R1, p, phi, phi1, C, layout: BlockLayout) -> OperatorBundle:
-    """The bundle of these operators with q, qhat and Sigma* derived,
-    invariants unchecked.  The bundle holds read-only copies: the caller's
-    arrays stay as they were, writeable or not."""
+    """The bundle of these operators with q, qhat and Sigma* derived (a
+    singular R is refused), invariants unchecked.  The bundle holds read-only
+    copies: the caller's arrays stay as they were, writeable or not."""
     R, R1, p, phi, phi1, C = (_frozen(np.array(a, dtype=complex))
                               for a in (R, R1, p, phi, phi1, C))
-    q = phi @ np.linalg.solve(R, p)
+    try:
+        q = phi @ np.linalg.solve(R, p)
+        sigma = phi1 @ R1 @ np.linalg.solve(R, phi.conj().T)  # Sigma* = phi1 R1 R^{-1} phi*
+    except np.linalg.LinAlgError as exc:
+        raise BundleInvariantError(f"R is not invertible ({exc}), so q and Sigma* "
+                                   "are undefined") from None
     qhat = C @ np.conj(q)
-    sigma = phi1 @ R1 @ np.linalg.solve(R, phi.conj().T)  # Sigma* = phi1 R1 R^{-1} phi*
     return OperatorBundle(
         dim=len(p), R=R, R1=R1, p=p, q=_frozen(q), qhat=_frozen(qhat), phi=phi,
         phi1=phi1, Jp=C, sigma_star=_frozen(sigma), layout=layout)

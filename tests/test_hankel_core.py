@@ -309,14 +309,17 @@ class TestMatrixFreeOperator:
 
     @pytest.mark.parametrize("rank", [7, 8, 9, 16, 17])
     def test_shifted_triplets_match_dense_svd(self, rank):
-        # Gamma S read off the captured factor Q B: its values and the
-        # subspace they span, weighted by Gamma S, agree with the dense SVD
+        # Gamma S read off the core M1 = B[:, 1:] conj(Q[:-1]), its matrix in
+        # conj(Q) coordinates: the values of M1 W and the subspace their
+        # right vectors span, weighted by Gamma S, agree with the dense SVD
         N = 385
         h = hs.HankelMatrix.from_gamma(_rational_symbol(np.random.default_rng(rank), N, rank), N)
-        svals, V, Q, B = hs.hankel_core._top_singular_triplets(h)
+        svals, W, _, Q, B = hs.hankel_core._top_singular_triplets(h)
         assert np.allclose(Q.conj().T @ Q, np.eye(Q.shape[1]), atol=1e-14)
         cut = hs.hankel_core.ZERO_CUT_RTOL * svals[0]
-        svals1, V1 = hs.hankel_core._shifted_triplets(V, B, cut)
+        _, svals1, wh1 = np.linalg.svd(B[:, 1:] @ Q[:-1].conj() @ W, full_matrices=False)
+        keep1 = svals1 > cut
+        svals1, V1 = svals1[keep1], Q.conj() @ W @ wh1[keep1].conj().T
         GS = dense_shifted(h)
         _, ref, vh = np.linalg.svd(GS)
         keep = int(np.sum(ref > cut))
@@ -390,11 +393,13 @@ class TestMatrixFreeOperator:
         np.testing.assert_array_equal(h.singular_values(), np.zeros(5))
 
     def test_right_vectors_from_the_core(self):
-        # V = conj(Q) W from the k x k core: orthonormal, and right singular
-        # vectors of the dense Gamma to roundoff
+        # W from the k x k core M = B conj(Q): V = conj(Q) W is orthonormal,
+        # and right singular vectors of the dense Gamma to roundoff
         N = 385
         h = hs.HankelMatrix.from_gamma(_rational_symbol(np.random.default_rng(16), N, 16), N)
-        svals, V, _, _ = hs.hankel_core._top_singular_triplets(h)
+        svals, W, M, Q, B = hs.hankel_core._top_singular_triplets(h)
+        assert M.shape == (16, 16) and M.tobytes() == (B @ Q.conj()).tobytes()
+        V = Q.conj() @ W
         G = h.entries
         eps = np.finfo(float).eps
         assert len(svals) == 16
@@ -585,16 +590,17 @@ class TestForwardExtract:
 
     @pytest.mark.parametrize("name", ["rank1_cyclic", "rank1_multiplicity", "rank2_cyclic"])
     def test_factor_products_match_exact_products(self, monkeypatch, name):
-        # Gamma S and the phases read off the factor Q B agree with the same
-        # extraction run on exact products: Q = I and B the dense Gamma
+        # Gamma S and the phases read off the rank-sized core agree with the
+        # same extraction run on exact products: Q = I and B the dense Gamma,
+        # so that M = Gamma, M1 = Gamma S and u_c = u
         doc = serialize.loads((FIXTURES / f"{name}.json").read_text())
         h = hs.hankel_from_data(serialize.parse_spectral_data(doc))
         fd = hs.forward_extract(h)
         sketch = hs.hankel_core._top_singular_triplets
 
         def exact(h):
-            svals, V, _, _ = sketch(h)
-            return svals, V, np.eye(h.N), h.entries
+            svals, W, _, Q, _ = sketch(h)
+            return svals, Q.conj() @ W, h.entries, np.eye(h.N), h.entries
 
         monkeypatch.setattr(hs.hankel_core, "_top_singular_triplets", exact)
         ref = hs.forward_extract(h)

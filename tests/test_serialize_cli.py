@@ -184,14 +184,39 @@ def test_stability_of_a_written_bundle_matches_its_data(tmp_path):
             assert (out / "from_bundle" / f).read_bytes() == (out / "from_data" / f).read_bytes()
 
 
-def test_truncation_above_the_cap_exit_3(tmp_path, capsys):
-    # explicit N must lie in 1..TRUNCATION_CAP, the range the symbol law covers
-    rc = main(["synthesize", "--input", str(FIXTURES / "rank2_cyclic.json"),
-               "--output", str(tmp_path / "out"), "--truncation", "4097"])
+def test_stability_refuses_singular_R(tmp_path, capsys):
+    # q and Sigma* solve with R, so a singular R is refused before any law
+    out = tmp_path / "synth"
+    assert main(["synthesize", "--input", str(FIXTURES / "rank2_cyclic.json"),
+                 "--output", str(out)]) == 0
+    doc = json.loads((out / "bundle.json").read_text())
+    assert doc["R"] == [[[2.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
+    doc["R"][1][1] = [0.0, 0.0]                                     # R = diag(2, 0)
+    path = tmp_path / "bundle.json"
+    path.write_text(serialize.dumps(doc))
+    rc = main(["stability", "--input", str(path), "--output", str(tmp_path / "out")])
     assert rc == 3
     err = json.loads(capsys.readouterr().err.strip())
-    assert err == {"error": "TruncationTooSmall", "message": "N = 4097 must lie in 1..4096"}
+    assert err["error"] == "BundleInvariant"
+    assert err["message"].startswith("R is not invertible")
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("value", ["4097", "0"])
+@pytest.mark.parametrize("command, source", [("synthesize", "rank2_cyclic.json"),
+                                             ("roundtrip", "roundtrip_job.json")],
+                         ids=["synthesize", "roundtrip"])
+def test_truncation_outside_the_range_exit_2(tmp_path, capsys, command, source, value):
+    # explicit N must lie in 1..TRUNCATION_CAP, the range the symbol law
+    # covers; the CLI refuses any other value as a schema violation
+    out = tmp_path / "out"
+    rc = main([command, "--input", str(FIXTURES / source), "--output", str(out),
+               "--truncation", value])
+    assert rc == 2
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err == {"error": "Schema",
+                   "message": f"--truncation must be 'auto' or lie in 1..4096, got {value}"}
+    assert not out.exists()
 
 
 class TestCli:
