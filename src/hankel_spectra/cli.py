@@ -32,16 +32,30 @@ from .roundtrip import run_roundtrip_trial
 from .stability import stability_report
 
 
+def _number(kind, value):
+    """``kind(value)``, or None when ``value`` is no such number: options
+    arrive as strings, and one that does not parse is a schema error that
+    names its flag."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError):
+        return None
+
+
 @dataclass
 class Tolerances:
     cluster_gap: float = CLUSTER_GAP
     cert_tail: float = TAIL_TOL
 
     def __post_init__(self):
-        # a range the value must lie in: NaN fails every comparison
-        for flag, value in (("--tol-gap", self.cluster_gap), ("--tol-tail", self.cert_tail)):
-            if not 0.0 < value < math.inf:
-                raise SchemaError(f"{flag} must be finite and positive, got {value}")
+        for name, flag in (("cluster_gap", "--tol-gap"), ("cert_tail", "--tol-tail")):
+            raw = getattr(self, name)
+            value = _number(float, raw)
+            # a range the value must lie in: NaN fails every comparison
+            if value is None or not 0.0 < value < math.inf:
+                raise SchemaError(f"{flag} must be finite and positive, "
+                                  f"got {raw if value is None else value}")
+            setattr(self, name, value)
 
 
 @dataclass
@@ -55,10 +69,16 @@ class JobConfig:
 
     def __post_init__(self):
         if self.truncation != "auto":
-            self.truncation = int(self.truncation)
-            if not 1 <= self.truncation <= TRUNCATION_CAP:
+            N = _number(int, self.truncation)
+            if N is None or not 1 <= N <= TRUNCATION_CAP:
                 raise SchemaError(f"--truncation must be 'auto' or lie in 1..{TRUNCATION_CAP}, "
                                   f"got {self.truncation}")
+            self.truncation = N
+        seed = _number(int, self.seed)
+        # np.random.SeedSequence takes non-negative integers only
+        if seed is None or seed < 0:
+            raise SchemaError(f"--seed must be a non-negative integer, got {self.seed}")
+        self.seed = seed
 
 
 def _read_doc(path: Path) -> dict:
@@ -211,13 +231,15 @@ def _emit_error(exc: HankelSpectraError, **context):
     print(json.dumps(doc, sort_keys=True), file=sys.stderr)
 
 
-# the job options each subcommand reads; a subcommand rejects the others
+# the job options each subcommand reads; a subcommand rejects the others.
+# Values stay strings here: JobConfig and Tolerances parse and range-check
+# them, so a malformed value is refused as JSON like an out-of-range one
 _OPTIONS = {
     "--truncation": dict(help="truncation size N, or 'auto' (the default) for certified decay"),
-    "--seed": dict(type=int, help="seed of a roundtrip_job.v1 trial stream (default 0)"),
-    "--tol-gap": dict(type=float, dest="cluster_gap",
+    "--seed": dict(help="seed of a roundtrip_job.v1 trial stream (default 0)"),
+    "--tol-gap": dict(dest="cluster_gap",
                       help=f"relative singular-value cluster gap (default {CLUSTER_GAP:g})"),
-    "--tol-tail": dict(type=float, dest="cert_tail",
+    "--tol-tail": dict(dest="cert_tail",
                        help=f"certified truncation tail bound (default {TAIL_TOL:g})"),
 }
 
@@ -255,7 +277,7 @@ def main(argv=None) -> int:
         tolerances = Tolerances(**{name: opts.pop(name) for name in ("cluster_gap", "cert_tail")
                                    if name in opts})
         cfg = JobConfig(tolerances=tolerances, **opts)
-    except (SchemaError, ValueError) as exc:
+    except SchemaError as exc:
         print(json.dumps({"error": "Schema", "message": str(exc)}), file=sys.stderr)
         return 2
     return run(cfg)

@@ -37,7 +37,7 @@ from .spectral_data import (
     borg_weights,
 )
 
-# Relative tolerances for the structural identities checked on every bundle.
+# Relative tolerances for the structural identities, checked once per bundle.
 RANK_ONE_RTOL = 1e-12
 DEFECT_TOL = 1e-10
 COMMUTE_RTOL = 1e-12
@@ -106,10 +106,11 @@ class OperatorBundle:
     ``Jp`` stores the conjugation as a matrix ``C`` acting by
     ``x -> C @ conj(x)``; ``C`` is unitary and symmetric, which encodes
     involutivity.  ``r_norm``, ``r_half``, ``r1_eigh``, ``sigma_hat_star``
-    (all but ``r_half`` read by the invariant check), ``A`` and the orbit of
-    Sigma* are derived on first read, each once per bundle.  Every array a
-    bundle holds is read-only, so the callers that share one bundle cannot
-    change it under each other.
+    (all but ``r_half`` read by the invariant check), the check's verdict
+    ``_laws_hold``, ``A`` and the orbit of Sigma* are derived on first read,
+    each once per bundle.  Every array a bundle holds is read-only, so the
+    callers that share one bundle cannot change it under each other, and a
+    bundle that passed its check once holds its laws for good.
     """
 
     dim: int
@@ -143,6 +144,17 @@ class OperatorBundle:
         ker R1), by :func:`level_projections` and by ``A`` (R1^{1/2})."""
         evals, vecs = np.linalg.eigh(self.R1)
         return _frozen(evals), _frozen(vecs)
+
+    @cached_property
+    def _laws_hold(self) -> bool:
+        """True once every row of :func:`bundle_residuals` is within its
+        bound; else BundleInvariantError naming the first row over it.  A
+        refusal caches nothing, so a refused bundle refuses on every read."""
+        for name, (residual, bound) in bundle_residuals(self).items():
+            if not residual <= bound:
+                raise BundleInvariantError(
+                    f"bundle violates: {name} (residual {residual:.3e} > bound {bound:.3e})")
+        return True
 
     @cached_property
     def sigma_orbit(self) -> Orbit:
@@ -348,11 +360,9 @@ def bundle_residuals(b: OperatorBundle) -> dict:
 
 def _validate_bundle(b: OperatorBundle) -> OperatorBundle:
     """Return ``b`` if it satisfies its defining identities; raise
-    BundleInvariantError naming the first one over its bound."""
-    for name, (residual, bound) in bundle_residuals(b).items():
-        if not residual <= bound:
-            raise BundleInvariantError(
-                f"bundle violates: {name} (residual {residual:.3e} > bound {bound:.3e})")
+    BundleInvariantError naming the first one over its bound.  The table is
+    evaluated once per bundle that passes (``OperatorBundle._laws_hold``)."""
+    b._laws_hold  # raises for a bundle over a bound, on every call
     return b
 
 
@@ -455,7 +465,12 @@ def _build(d: CompactSpectralData) -> OperatorBundle:
 
 
 def assemble(d: CompactSpectralData) -> OperatorBundle:
-    """The bundle for ``d``, its invariants checked on every call."""
+    """The bundle for ``d``, its invariants checked.
+
+    The check runs once per bundle: ``assemble(d)`` again, or after
+    ``hankel_from_data(d)``, reads the memoized bundle's verdict.  A bundle
+    that breaks a law caches none, so it is refused on every call.
+    """
     return _validate_bundle(_build(d))
 
 

@@ -207,7 +207,7 @@ class TestSymbolCrossCheck:
         # with R1, the two formulas are transposes of each other.  The law
         # row refuses both, and is the only row to.
         from hankel_spectra.errors import BundleInvariantError
-        from hankel_spectra.operator_assembly import _from_operators
+        from hankel_spectra.operator_assembly import _from_operators, _validate_bundle
         from hankel_spectra.spectral_data import AtomicMeasure
 
         rng = np.random.default_rng(seed)
@@ -225,10 +225,15 @@ class TestSymbolCrossCheck:
         ops = {"R": b.R, "R1": b.R1, "p": b.p, "phi": b.phi, "phi1": b.phi1, "C": b.Jp,
                "layout": b.layout}
         ops[which] = ops[which] @ rotation
-        rows = hs.bundle_residuals(_from_operators(**ops))
+        bad = _from_operators(**ops)
+        rows = hs.bundle_residuals(bad)
         assert [name for name, (r, bound) in rows.items() if not r <= bound] == [self.ROW]
         with pytest.raises(BundleInvariantError, match=re.escape(self.ROW)):
             hs.assemble_from_operators(**ops)
+        # a refusal is not cached: the same bundle is refused on every check
+        for _ in range(2):
+            with pytest.raises(BundleInvariantError, match=re.escape(self.ROW)):
+                _validate_bundle(bad)
 
     @pytest.mark.parametrize("scale", [1e2, 1e3])
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])

@@ -294,6 +294,41 @@ class TestLawTable:
         self._refused(plain, C, "Jp unitary")
 
 
+class TestCheckedOnce:
+    """A bundle's law table is evaluated once per bundle that passes."""
+
+    @pytest.fixture
+    def evaluations(self, monkeypatch):
+        from hankel_spectra import operator_assembly
+
+        count = [0]
+        table = operator_assembly.bundle_residuals
+
+        def counted(b):
+            count[0] += 1
+            return table(b)
+
+        monkeypatch.setattr(operator_assembly, "bundle_residuals", counted)
+        return count
+
+    def test_synthesis_then_assemble_checks_once(self, evaluations):
+        # hankel_from_data assembles d; assemble(d) then reads the memoized
+        # bundle and its verdict
+        d = random_multiplicity_data(np.random.default_rng(71), 3, max_contraction=0.97)
+        hs.hankel_from_data(d)
+        b = hs.assemble(d)
+        assert evaluations[0] == 1
+        assert hs.assemble(d) is b
+        assert evaluations[0] == 1
+
+    def test_each_bundle_from_operators_is_checked(self, evaluations, rank2_data):
+        b = hs.assemble(rank2_data)
+        ops = (b.R, b.R1, b.p, b.phi, b.phi1, b.Jp, b.layout)
+        before = evaluations[0]
+        assert assemble_from_operators(*ops) is not assemble_from_operators(*ops)
+        assert evaluations[0] == before + 2
+
+
 class TestGaugeRotation:
     def test_rotated_tuple_still_validates(self, admissible_commutant):
         rng = np.random.default_rng(51)

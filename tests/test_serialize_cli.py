@@ -513,3 +513,34 @@ assert not loaded, loaded
     assert proc.returncode == 0, proc.stderr
     fwd = json.loads((tmp_path / "fwd.json").read_text())
     assert len(fwd["xi"][0]["value"]["atoms"]) == 2
+
+
+@pytest.mark.parametrize("value", ["-1", "0", "nan", "inf", "x", "4097"])
+@pytest.mark.parametrize("command, option", [
+    ("synthesize", "--truncation"), ("synthesize", "--tol-tail"),
+    ("analyze", "--tol-gap"),
+    ("roundtrip", "--truncation"), ("roundtrip", "--seed"),
+    ("roundtrip", "--tol-gap"), ("roundtrip", "--tol-tail"),
+])
+def test_every_option_value_exits_cleanly(command, option, value, tmp_path, capsys):
+    # every option each subcommand takes (convert-clark and stability take
+    # none), at the edges of its domain: the command runs, or it refuses
+    # with exit 2 or 3 and one JSON object on stderr.  An uncaught error
+    # (exit 1, a traceback) or argparse's usage text fails the test;
+    # --seed -1 reached np.random.SeedSequence unchecked
+    data = FIXTURES / "rank2_cyclic.json"
+    hankel = tmp_path / "hankel.json"
+    h = hs.hankel_from_data(serialize.parse_spectral_data(serialize.loads(data.read_text())))
+    hankel.write_text(serialize.dumps(serialize.emit_hankel(h)))
+    source = {"synthesize": data, "analyze": hankel, "roundtrip": FIXTURES / "roundtrip_job.json"}
+    rc = main([command, "--input", str(source[command]), "--output", str(tmp_path / "out"),
+               f"{option}={value}"])
+    err = capsys.readouterr().err
+    if rc == 0:
+        assert err == ""
+        return
+    assert rc in (2, 3)
+    line, = err.splitlines()
+    assert set(json.loads(line)) >= {"error", "message"}
+    if rc == 2:
+        assert json.loads(line)["message"].startswith(option)

@@ -2,9 +2,14 @@ import numpy as np
 import pytest
 
 import hankel_spectra as hs
-from hankel_spectra.operator_assembly import assemble_from_operators, _measure_frame
-from hankel_spectra.random_data import random_multiplicity_data
-from hankel_spectra.stability import DECAY_STEPS
+from hankel_spectra.operator_assembly import (
+    _measure_frame,
+    assemble_from_operators,
+    level_projections,
+    orbit,
+)
+from hankel_spectra.random_data import random_cyclic_data, random_multiplicity_data
+from hankel_spectra.stability import DECAY_STEPS, KRYLOV_RANK_RTOL
 
 
 class TestStabilityReport:
@@ -96,3 +101,75 @@ class TestCnuCertificate:
         _, bad = tampered_bundle()
         radius = float(np.abs(np.linalg.eigvals(bad.sigma_star)).max())
         assert radius >= 1.0 - 1e-9
+
+
+def _krylov_svals(op, vec, span):
+    """Singular values of one level's Krylov matrix
+    ``[v, op v, ..., op^span v, op* v, ..., (op*)^span v]``, walked alone."""
+    mat = np.hstack([orbit(op, vec, span + 1), orbit(op.conj().T, vec, span + 1)[:, 1:]])
+    return np.linalg.svd(mat, compute_uv=False)
+
+
+def _krylov_rank(svals):
+    """The per-level oracle of the batched certificate's rank rule."""
+    if svals.size == 0 or svals[0] == 0:
+        return 0
+    return int(np.sum(svals > KRYLOV_RANK_RTOL * svals[0]))
+
+
+def _oracle_levels(b):
+    """``(kind, index, space_dim, svals)`` per level, one walk and one SVD each."""
+    lay = b.layout
+    p_ks, p1_ks = level_projections(b)
+    out = [("lambda", k, lay.lam_dim(k), _krylov_svals(b.phi, p_ks[k], lay.lam_dim(k)))
+           for k in range(lay.n_levels)]
+    return out + [("mu", k, lay.mu_eigdim(k), _krylov_svals(b.phi1, p1_ks[k], lay.mu_eigdim(k)))
+                  for k in range(lay.n_levels) if lay.mu[k] != 0.0]
+
+
+def _sweep_bundles():
+    """Seeded cyclic draws at n = 1..16 and multiplicity draws of up to 5
+    atoms per level at n = 1..4."""
+    for seed in range(5):
+        rng = np.random.default_rng([seed, 1])
+        for n in range(1, 17):
+            yield hs.assemble(random_cyclic_data(rng, n))
+    for seed in range(20):
+        rng = np.random.default_rng([seed, 2])
+        for n in range(1, 5):
+            yield hs.assemble(random_multiplicity_data(rng, n, max_atoms=5))
+
+
+class TestBatchedCertificate:
+    """The certificate walks each phase operator once over all its levels
+    and stacks the Krylov matrices of one span into one SVD; each level must
+    read the rank of its own walk and SVD."""
+
+    def test_matches_per_level_oracle(self, bundle_corpus):
+        good, bad = tampered_bundle()
+        for b in [*bundle_corpus, good, bad, *_sweep_bundles()]:
+            got = [(lv.kind, lv.index, lv.space_dim, lv.krylov_rank)
+                   for lv in hs.cnu_certificate(b)]
+            assert got == [(kind, k, d, _krylov_rank(s)) for kind, k, d, s in _oracle_levels(b)]
+
+    def test_zero_level_vector_has_rank_zero(self):
+        from hankel_spectra.stability import _krylov_ranks
+
+        b = hs.assemble(random_cyclic_data(np.random.default_rng(3), 3))
+        p_0 = level_projections(b)[0][0]
+        assert _krylov_ranks(b.phi, np.column_stack([np.zeros_like(p_0), p_0]), [1, 1]) == [0, 1]
+
+    def test_rank_cut_margins(self, bundle_corpus):
+        # KRYLOV_RANK_RTOL's margins: every kept value, relative to its
+        # level's largest, stays far above the cut, and every dropped one
+        # (roundoff, and the tampered level's missing direction) far below
+        kept, dropped = 1.0, 0.0
+        _, bad = tampered_bundle()
+        for b in [*bundle_corpus, bad, *_sweep_bundles()]:
+            for *_, s in _oracle_levels(b):
+                r = _krylov_rank(s)
+                kept = min(kept, s[r - 1] / s[0])
+                dropped = max(dropped, s[r] / s[0] if r < s.size else 0.0)
+        print(f"\nsmallest kept {kept:.3e}, largest dropped {dropped:.3e}")
+        assert kept > 1e6 * KRYLOV_RANK_RTOL
+        assert dropped < 1e-2 * KRYLOV_RANK_RTOL
