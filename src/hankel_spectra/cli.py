@@ -11,7 +11,7 @@ import functools
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -43,9 +43,14 @@ def _number(kind, value):
 
 
 @dataclass
-class Tolerances:
+class JobConfig:
+    command: str
+    input: Path
+    output: Path
+    truncation: int | str = "auto"
     cluster_gap: float = CLUSTER_GAP
     cert_tail: float = TAIL_TOL
+    seed: int = 0
 
     def __post_init__(self):
         for name, flag in (("cluster_gap", "--tol-gap"), ("cert_tail", "--tol-tail")):
@@ -56,18 +61,6 @@ class Tolerances:
                 raise SchemaError(f"{flag} must be finite and positive, "
                                   f"got {raw if value is None else value}")
             setattr(self, name, value)
-
-
-@dataclass
-class JobConfig:
-    command: str
-    input: Path
-    output: Path
-    truncation: int | str = "auto"
-    tolerances: Tolerances = field(default_factory=Tolerances)
-    seed: int = 0
-
-    def __post_init__(self):
         if self.truncation != "auto":
             N = _number(int, self.truncation)
             if N is None or not 1 <= N <= TRUNCATION_CAP:
@@ -97,7 +90,7 @@ def _write_doc(path: Path, doc: dict):
 def _cmd_synthesize(cfg: JobConfig) -> int:
     data = serialize.parse_spectral_data(_read_doc(cfg.input))
     bundle = assemble(data)
-    h = hankel_from_bundle(bundle, N=cfg.truncation, tail_tol=cfg.tolerances.cert_tail)
+    h = hankel_from_bundle(bundle, N=cfg.truncation, tail_tol=cfg.cert_tail)
     report = stability_report(bundle)
     out = cfg.output
     _write_doc(out / "hankel.json", serialize.emit_hankel(h))
@@ -110,7 +103,7 @@ def _cmd_synthesize(cfg: JobConfig) -> int:
 
 def _cmd_analyze(cfg: JobConfig) -> int:
     h = serialize.parse_hankel(_read_doc(cfg.input))
-    fd = forward_extract(h, cluster_gap=cfg.tolerances.cluster_gap)
+    fd = forward_extract(h, cluster_gap=cfg.cluster_gap)
     _write_doc(cfg.output, serialize.emit_forward_data(fd))
     return 0
 
@@ -129,7 +122,8 @@ def _trial_data(job: dict, seed_seq: np.random.SeedSequence):
 
 def _cmd_roundtrip(cfg: JobConfig) -> int:
     doc = _read_doc(cfg.input)
-    tols = cfg.tolerances
+    trial = functools.partial(run_roundtrip_trial, truncation=cfg.truncation,
+                              tail_tol=cfg.cert_tail, cluster_gap=cfg.cluster_gap)
     keys = ("lam", "mu", "weights", "phases")
     if doc.get("schema") == "roundtrip_job.v1":
         # checked before the first trial: a trial's refusal is reported, a bad job exits 2
@@ -137,19 +131,13 @@ def _cmd_roundtrip(cfg: JobConfig) -> int:
         results = []
         for i, seed_seq in enumerate(np.random.SeedSequence(cfg.seed).spawn(job["trials"])):
             try:
-                data = _trial_data(job, seed_seq)
-                errs = run_roundtrip_trial(data, truncation=cfg.truncation,
-                                           tail_tol=tols.cert_tail,
-                                           cluster_gap=tols.cluster_gap)
+                errs = trial(_trial_data(job, seed_seq))
             except HankelSpectraError as exc:
                 errs = dict.fromkeys(keys, float("inf")) | {"N": None, "error": exc}
             errs["trial"] = i
             results.append(errs)
     else:
-        data = serialize.parse_spectral_data(doc)
-        errs = run_roundtrip_trial(data, truncation=cfg.truncation,
-                                   tail_tol=tols.cert_tail,
-                                   cluster_gap=tols.cluster_gap)
+        errs = trial(serialize.parse_spectral_data(doc))
         errs["trial"] = 0
         results = [errs]
     summary = {k: max(r[k] for r in results) for k in keys}
@@ -232,8 +220,8 @@ def _emit_error(exc: HankelSpectraError, **context):
 
 
 # the job options each subcommand reads; a subcommand rejects the others.
-# Values stay strings here: JobConfig and Tolerances parse and range-check
-# them, so a malformed value is refused as JSON like an out-of-range one
+# Values stay strings here: JobConfig parses and range-checks them, so a
+# malformed value is refused as JSON like an out-of-range one
 _OPTIONS = {
     "--truncation": dict(help="truncation size N, or 'auto' (the default) for certified decay"),
     "--seed": dict(help="seed of a roundtrip_job.v1 trial stream (default 0)"),
@@ -274,9 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     opts = vars(build_parser().parse_args(argv))
     try:
-        tolerances = Tolerances(**{name: opts.pop(name) for name in ("cluster_gap", "cert_tail")
-                                   if name in opts})
-        cfg = JobConfig(tolerances=tolerances, **opts)
+        cfg = JobConfig(**opts)
     except SchemaError as exc:
         print(json.dumps({"error": "Schema", "message": str(exc)}), file=sys.stderr)
         return 2

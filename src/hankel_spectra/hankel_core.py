@@ -426,17 +426,15 @@ def _unitary_spectral_measure(U: np.ndarray, residuals: dict) -> AtomicMeasure:
 class ForwardData:
     """Spectral data recovered from a truncated Hankel matrix.
 
-    ``rho[k]`` and ``rho1[k]`` are the circle probability measures of the
-    polar factors on the lambda_k and mu_k levels, a point mass on a simple
-    level; ``rho1[k]`` is ``None`` at a terminal mu = 0.
+    ``data`` holds the recovered levels and, per level, the circle
+    probability measure of the polar factor, a point mass on a simple
+    level.  ``w`` and ``w1`` are the measured u-masses on the lambda and mu
+    levels, which the data determine in closed form.
     """
 
-    lam: np.ndarray
-    mu: np.ndarray
+    data: CompactSpectralData
     w: np.ndarray
     w1: np.ndarray
-    rho: tuple
-    rho1: tuple
     residuals: dict = field(default_factory=dict)
 
 
@@ -517,7 +515,7 @@ def forward_extract(h: HankelMatrix, cluster_gap: float = CLUSTER_GAP) -> Forwar
     terminal_zero = len(mu_levels) == n - 1
     lam = np.array([lv["value"] for lv in lam_levels])
     mu = np.array([lv["value"] for lv in mu_levels] + [0.0] * terminal_zero)
-    validate_intertwining(lam, mu)  # raises if the recovered levels are inconsistent
+    spectrum = validate_intertwining(lam, mu)  # raises if the recovered levels are inconsistent
     w = np.array([lv["weight"] for lv in lam_levels])
     w1 = np.array([lv["weight"] for lv in mu_levels] + [kernel_u] * terminal_zero)
     residuals["cluster_spread"] = spread / smax
@@ -543,6 +541,6 @@ def forward_extract(h: HankelMatrix, cluster_gap: float = CLUSTER_GAP) -> Forwar
         U = E.conj().T @ (np.conj(own @ JE) / s)
         return _unitary_spectral_measure(U, residuals)
 
-    rho = tuple(phase_of(lv, False) for lv in lam_levels)
-    rho1 = tuple(phase_of(lv, True) for lv in mu_levels) + ((None,) if terminal_zero else ())
-    return ForwardData(lam=lam, mu=mu, w=w, w1=w1, rho=rho, rho1=rho1, residuals=residuals)
+    rho = [phase_of(lv, False) for lv in lam_levels]
+    rho1 = [phase_of(lv, True) for lv in mu_levels]
+    return ForwardData(CompactSpectralData(spectrum, rho, rho1), w, w1, residuals)

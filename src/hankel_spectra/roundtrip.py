@@ -1,9 +1,10 @@
 """Full-pipeline round trips: data -> Hankel truncation -> recovered data.
 
 Shared by the CLI batch runner and the acceptance suite so both report the
-same error metrics: relative errors on the level values, relative errors on
-the weights, and absolute differences of phases / measure atoms after
-canonical ordering.
+same error metrics: relative errors on the level values, relative errors of
+the measured level weights against the closed forms of the generating
+spectrum, and absolute differences of phases / measure atoms after
+canonical ordering.  The reference is the generating data alone.
 """
 
 from __future__ import annotations
@@ -17,8 +18,8 @@ from .hankel_core import (
     forward_extract,
     hankel_from_bundle,
 )
-from .operator_assembly import assemble, level_projections
-from .spectral_data import AtomicMeasure, CompactSpectralData
+from .operator_assembly import assemble
+from .spectral_data import AtomicMeasure, CompactSpectralData, borg_weights, mu_weights
 
 
 def atoms_difference(a: AtomicMeasure, b: AtomicMeasure) -> float:
@@ -41,30 +42,31 @@ def atoms_difference(a: AtomicMeasure, b: AtomicMeasure) -> float:
     return float(gaps.min())
 
 
-def roundtrip_errors(d: CompactSpectralData, recovered: ForwardData,
-                     w: np.ndarray, w1: np.ndarray) -> dict:
+def roundtrip_errors(d: CompactSpectralData, recovered: ForwardData) -> dict:
     """Error metrics of a recovery against the generating data.
 
-    ``w``/``w1`` are the reference level weights of the generating bundle.
-    Every level's measure compares atom-wise by :func:`atoms_difference`.
+    The measured level weights compare with the closed forms of the
+    generating spectrum, :func:`~.spectral_data.borg_weights` and
+    :func:`~.spectral_data.mu_weights`.  Every level's measure compares
+    atom-wise by :func:`atoms_difference`.
     """
-    s = d.spectrum
-    scale = float(s.lam[0])
-    if len(recovered.lam) != s.n or len(recovered.mu) != s.n:
+    s, got = d.spectrum, recovered.data
+    if got.spectrum.n != s.n:
         return {"lam": float("inf"), "mu": float("inf"),
                 "weights": float("inf"), "phases": float("inf")}
-    lam_err = float(np.max(np.abs(recovered.lam - s.lam) / s.lam))
-    mu_den = np.where(s.mu > 0, s.mu, scale)
-    mu_err = float(np.max(np.abs(recovered.mu - s.mu) / mu_den))
+    mu_den = np.where(s.mu > 0, s.mu, s.lam[0])
+    lam_err = float(np.max(np.abs(got.spectrum.lam - s.lam) / s.lam))
+    mu_err = float(np.max(np.abs(got.spectrum.mu - s.mu) / mu_den))
+    w, w1 = borg_weights(s).weights, mu_weights(s).weights
     w_err = float(np.max(np.abs(recovered.w - w) / w))
     w1_err = float(np.max(np.abs(recovered.w1 - w1) / w1))
     phase_err = 0.0
-    for expected, got in zip(d.rho + d.rho1, recovered.rho + recovered.rho1):
-        if expected is None or got is None:
-            if (expected is None) != (got is None):
+    for expected, m in zip(d.rho + d.rho1, got.rho + got.rho1):
+        if expected is None or m is None:
+            if (expected is None) != (m is None):
                 phase_err = float("inf")
             continue
-        phase_err = max(phase_err, atoms_difference(got, expected))
+        phase_err = max(phase_err, atoms_difference(m, expected))
     return {"lam": lam_err, "mu": mu_err,
             "weights": max(w_err, w1_err), "phases": phase_err}
 
@@ -72,13 +74,7 @@ def roundtrip_errors(d: CompactSpectralData, recovered: ForwardData,
 def run_roundtrip_trial(d: CompactSpectralData, truncation: int | str = "auto",
                         tail_tol: float = TAIL_TOL, cluster_gap: float = CLUSTER_GAP) -> dict:
     """Synthesize, extract, and report the error metrics for one instance."""
-    bundle = assemble(d)
-    h = hankel_from_bundle(bundle, N=truncation, tail_tol=tail_tol)
-    recovered = forward_extract(h, cluster_gap=cluster_gap)
-    _, p1s = level_projections(bundle)
-    w = np.array([float(np.linalg.norm(bundle.p[list(block)]) ** 2)
-                  for block in bundle.layout.lam_blocks])
-    w1 = np.array([float(np.linalg.norm(v) ** 2) for v in p1s])
-    errors = roundtrip_errors(d, recovered, w, w1)
+    h = hankel_from_bundle(assemble(d), N=truncation, tail_tol=tail_tol)
+    errors = roundtrip_errors(d, forward_extract(h, cluster_gap=cluster_gap))
     errors["N"] = h.N
     return errors

@@ -517,15 +517,16 @@ def _emit_level_phase(m: AtomicMeasure) -> dict:
 
 
 def emit_forward_data(fd: ForwardData) -> dict:
+    d = fd.data
     return {
         "schema": "forward_data.v1",
-        "mode": phase_mode(fd.rho + fd.rho1),
-        "lambda": _fvec(fd.lam),
-        "mu": _fvec(fd.mu),
+        "mode": d.mode,
+        "lambda": _fvec(d.spectrum.lam),
+        "mu": _fvec(d.spectrum.mu),
         "w": _fvec(fd.w),
         "w1": _fvec(fd.w1),
-        "xi": [_emit_level_phase(m) for m in fd.rho],
-        "eta": [None if m is None else _emit_level_phase(m) for m in fd.rho1],
+        "xi": [_emit_level_phase(m) for m in d.rho],
+        "eta": [None if m is None else _emit_level_phase(m) for m in d.rho1],
         "residuals": {k: float(v) for k, v in sorted(fd.residuals.items())},
     }
 

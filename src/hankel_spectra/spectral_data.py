@@ -285,3 +285,17 @@ def borg_weights(s: IntertwinedSpectrum) -> AtomicMeasure:
             raise NonInterlacingError(i, f"weight {i} came out nonpositive")
         weights[i] = math.exp(log_a)
     return AtomicMeasure(points=lam2.astype(complex), weights=weights)
+
+
+def mu_weights(s: IntertwinedSpectrum) -> AtomicMeasure:
+    """Weights of ``sum b_k delta_{mu_k^2}``, the spectral measure of
+    ``diag(lambda^2) - p p*`` at ``p = sqrt(a)``, a the :func:`borg_weights`.
+
+    The eigenvector at the root ``mu_k^2`` of the secular function
+    ``1 - sum_i a_i / (lambda_i^2 - z)`` is ``(diag(lambda^2) - mu_k^2)^{-1} p``,
+    so ``b_k = 1 / sum_i a_i / (lambda_i^2 - mu_k^2)^2``, the reciprocal
+    derivative there; a terminal ``mu_n = 0`` is no exception.
+    """
+    a = borg_weights(s).weights
+    weights = 1.0 / (a / (s.lam2 - s.mu2[:, None]) ** 2).sum(axis=1)
+    return AtomicMeasure(points=s.mu2.astype(complex), weights=weights)

@@ -43,6 +43,23 @@ def herglotz_sum():
     return F
 
 
+@pytest.fixture(scope="session")
+def seeded_sweep():
+    """Seeded cyclic draws at n = 1..16 and multiplicity draws of up to 5
+    atoms per level at n = 1..4; both modes meet both a terminal mu = 0 and
+    a positive mu_n."""
+    from hankel_spectra.random_data import random_cyclic_data, random_multiplicity_data
+
+    data = []
+    for seed in range(5):
+        rng = np.random.default_rng([seed, 1])
+        data += [random_cyclic_data(rng, n) for n in range(1, 17)]
+    for seed in range(20):
+        rng = np.random.default_rng([seed, 2])
+        data += [random_multiplicity_data(rng, n, max_atoms=5) for n in range(1, 5)]
+    return data
+
+
 @pytest.fixture
 def bundle_corpus():
     """A mixed bag of assembled bundles used by the structural-identity tests."""

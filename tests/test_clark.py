@@ -182,8 +182,8 @@ class TestGpConvert:
         d = hs.CompactSpectralData(s, rho, rho1)
         h = hs.hankel_from_data(d)
         fd = hs.forward_extract(h)
-        assert atoms_difference(fd.rho[0], rho[0]) <= 1e-8
-        assert atoms_difference(fd.rho1[0], rho1[0]) <= 1e-8
+        assert atoms_difference(fd.data.rho[0], rho[0]) <= 1e-8
+        assert atoms_difference(fd.data.rho1[0], rho1[0]) <= 1e-8
 
     @pytest.mark.parametrize("seed", range(4))
     def test_roundtrip(self, seed):

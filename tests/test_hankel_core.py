@@ -368,8 +368,8 @@ class TestMatrixFreeOperator:
         # product is the rank-one identity residual's
         widths = self._apply_widths(monkeypatch)
         fd = hs.forward_extract(hs.HankelMatrix.from_gamma([1.0] + [0.0] * 598, 300))
-        np.testing.assert_allclose(fd.lam, [1.0])
-        np.testing.assert_array_equal(fd.mu, [0.0])
+        np.testing.assert_allclose(fd.data.spectrum.lam, [1.0])
+        np.testing.assert_array_equal(fd.data.spectrum.mu, [0.0])
         assert widths == [hs.hankel_core.SKETCH_BLOCK, 1, 1]
 
     def test_sketch_follows_the_rank(self, monkeypatch):
@@ -380,7 +380,7 @@ class TestMatrixFreeOperator:
         assert int(np.count_nonzero(h.singular_values())) == 6
         widths = self._apply_widths(monkeypatch)
         fd = hs.forward_extract(h)
-        assert len(fd.lam) == 6
+        assert fd.data.spectrum.n == 6
         assert max(widths) == hs.hankel_core.SKETCH_BLOCK == 8
 
     def test_later_block_runs_at_the_width_it_finds(self, monkeypatch):
@@ -546,16 +546,16 @@ class TestForwardExtract:
     def test_rank1_projection(self):
         h = hs.HankelMatrix.from_gamma([1.0, 0, 0, 0, 0, 0, 0], 4)
         fd = hs.forward_extract(h)
-        np.testing.assert_allclose(fd.lam, [1.0])
-        np.testing.assert_allclose(fd.mu, [0.0])
+        np.testing.assert_allclose(fd.data.spectrum.lam, [1.0])
+        np.testing.assert_allclose(fd.data.spectrum.mu, [0.0])
         np.testing.assert_allclose(fd.w, [1.0])
-        assert fd.rho[0].points == pytest.approx([1.0])
-        assert fd.rho1 == (None,)
+        assert fd.data.rho[0].points == pytest.approx([1.0])
+        assert fd.data.rho1 == (None,)
 
     def test_rank1_imaginary_phase(self):
         h = hs.HankelMatrix.from_gamma([1j, 0, 0, 0, 0, 0, 0], 4)
         fd = hs.forward_extract(h)
-        assert fd.rho[0].points == pytest.approx([1j])
+        assert fd.data.rho[0].points == pytest.approx([1j])
 
     def test_rank2_roundtrip(self, rank2_data):
         errs = run_roundtrip_trial(rank2_data)
@@ -591,7 +591,32 @@ class TestForwardExtract:
         h = hs.hankel_from_data(rank2_data)
         fd = hs.forward_extract(h)
         assert calls == [h.N]
-        np.testing.assert_allclose(fd.mu, [np.sqrt(2.0), 0.0], atol=1e-8)
+        np.testing.assert_allclose(fd.data.spectrum.mu, [np.sqrt(2.0), 0.0], atol=1e-8)
+
+    @staticmethod
+    def _loop_sources():
+        for name in ("rank1_cyclic", "rank1_multiplicity", "rank2_cyclic"):
+            yield serialize.parse_spectral_data(
+                serialize.loads((FIXTURES / f"{name}.json").read_text()))
+        # guarded as a roundtrip job's trials are, so every draw certifies
+        for seed in range(4):
+            rng = np.random.default_rng([seed, 24])
+            for n in range(1, 9):
+                yield random_cyclic_data(rng, n, max_contraction=0.97)
+            for n in range(1, 5):
+                yield random_multiplicity_data(rng, n, max_atoms=4, max_contraction=0.97)
+
+    def test_recovered_data_synthesize_the_same_symbol(self):
+        # the recovered data are spectral data: fed back to the inverse
+        # problem at the same N, they give back the truncation they came from
+        count = 0
+        for d in self._loop_sources():
+            h = hs.hankel_from_data(d)
+            again = hs.hankel_from_data(hs.forward_extract(h).data, N=h.N)
+            scale = float(np.abs(h.gamma).max())
+            assert np.abs(again.gamma - h.gamma).max() <= 1e-12 * scale
+            count += 1
+        assert count == 3 + 4 * 12
 
     @pytest.mark.parametrize("name", ["rank1_cyclic", "rank1_multiplicity", "rank2_cyclic"])
     def test_factor_products_match_exact_products(self, monkeypatch, name):
@@ -609,9 +634,12 @@ class TestForwardExtract:
 
         monkeypatch.setattr(hs.hankel_core, "_top_singular_triplets", exact)
         ref = hs.forward_extract(h)
-        for key in ("lam", "mu", "w", "w1"):
-            np.testing.assert_allclose(getattr(fd, key), getattr(ref, key), rtol=0, atol=1e-10)
-        for got, want in zip(fd.rho + fd.rho1, ref.rho + ref.rho1, strict=True):
+        def arrays(f):
+            return f.data.spectrum.lam, f.data.spectrum.mu, f.w, f.w1
+
+        for got, want in zip(arrays(fd), arrays(ref), strict=True):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-10)
+        for got, want in zip(fd.data.rho + fd.data.rho1, ref.data.rho + ref.data.rho1, strict=True):
             if want is None:
                 assert got is None
             else:

@@ -202,6 +202,20 @@ def test_stability_refuses_singular_R(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_weight_out_of_range_exit_3(tmp_path, capsys):
+    # lambda = 1e153 puts the Borg weight lambda^2 - mu^2 = 1e306 at log
+    # magnitude 704.6, past the 700 that still exponentiates to a normal double
+    doc = serialize.loads((FIXTURES / "rank1_cyclic.json").read_text())
+    doc["spectrum"]["lambda"] = [1e153]
+    path = tmp_path / "data.json"
+    path.write_text(serialize.dumps(doc))
+    out = tmp_path / "out"
+    assert main(["synthesize", "--input", str(path), "--output", str(out)]) == 3
+    assert json.loads(capsys.readouterr().err) == {
+        "error": "WeightRange", "message": "weight 0 has log magnitude 704.6"}
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("value", ["4097", "0"])
 @pytest.mark.parametrize("command, source", [("synthesize", "rank2_cyclic.json"),
                                              ("roundtrip", "roundtrip_job.json")],
@@ -454,7 +468,7 @@ def test_reused_parser_keeps_no_options_between_calls(monkeypatch):
     assert main(["analyze", "--input", "hankel.json", "--output", "b.json"]) == 0
     assert build_parser() is build_parser()
     first, second = configs
-    assert (first.seed, first.tolerances.cluster_gap) == (5, 1e-4)
+    assert (first.seed, first.cluster_gap) == (5, 1e-4)
     assert second == cli.JobConfig(command="analyze", input=Path("hankel.json"),
                                    output=Path("b.json"))
 

@@ -13,7 +13,9 @@ from hankel_spectra.errors import (
     NonInterlacingError,
     NonUnimodularPhaseError,
 )
+from hankel_spectra.operator_assembly import level_projections
 from hankel_spectra.random_data import random_circle_measure, random_phases, random_spectrum
+from hankel_spectra.spectral_data import mu_weights
 
 
 def spectrum_strategy(max_n=12):
@@ -134,6 +136,42 @@ class TestBorgWeights:
         rhs = float(np.prod(s.mu2 / s.lam2))
         assert abs(lhs - rhs) <= 1e-10
         assert np.sum(rho.weights / s.lam2) <= 1.0 + 1e-12
+
+
+def projection_weights(b):
+    """The level weights read off a bundle: ||p_k||^2 on each lambda block,
+    and ||p1_k||^2 for the projection p1_k of p onto ker(R1 - mu_k)."""
+    p_ks, p1_ks = level_projections(b)
+    return (np.array([np.linalg.norm(v) ** 2 for v in p_ks]),
+            np.array([np.linalg.norm(v) ** 2 for v in p1_ks]))
+
+
+class TestMuWeights:
+    def test_rank2_hand_value(self, rank2_spectrum):
+        # lambda^2 = (4, 1), mu^2 = (2, 0), a = (8/3, 1/3):
+        # b_1 = 1 / (a_1/4 + a_2/1) = 1, b_2 = 1 / (a_1/16 + a_2/1) = 2
+        rho1 = mu_weights(rank2_spectrum)
+        np.testing.assert_allclose(rho1.weights, [1.0, 2.0], rtol=1e-14)
+        np.testing.assert_allclose(rho1.points, rank2_spectrum.mu2)
+
+    @given(spectrum_strategy(), st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_total_mass_is_the_borg_mass(self, ratios, terminal_zero):
+        # both sets of weights split ||p||^2 over an orthonormal eigenbasis
+        s = chain_to_spectrum(ratios, terminal_zero)
+        total = hs.borg_weights(s).weights.sum()
+        assert np.all(mu_weights(s).weights > 0)
+        assert abs(mu_weights(s).weights.sum() - total) <= 1e-12 * total
+
+    def test_closed_forms_match_the_projection_oracle(self, seeded_sweep):
+        terminal = set()
+        for d in seeded_sweep:
+            w, w1 = projection_weights(hs.assemble(d))
+            np.testing.assert_allclose(hs.borg_weights(d.spectrum).weights, w, rtol=1e-12)
+            np.testing.assert_allclose(mu_weights(d.spectrum).weights, w1, rtol=1e-12)
+            terminal.add((d.mode, d.spectrum.has_terminal_zero))
+        assert terminal == {(mode, zero) for mode in ("cyclic", "multiplicity")
+                            for zero in (False, True)}
 
 
 class TestPhiProduct:
@@ -266,7 +304,7 @@ class TestPointMasses:
 
     def test_cyclic_forward_data_writes_phases(self, rank2_data):
         fd = hs.forward_extract(hs.hankel_from_data(rank2_data))
-        assert all(len(m.points) == 1 for m in fd.rho + fd.rho1[:-1])
+        assert all(len(m.points) == 1 for m in fd.data.rho + fd.data.rho1[:-1])
         doc = serialize.emit_forward_data(fd)
         assert doc["mode"] == "cyclic"
         assert [e["type"] for e in doc["xi"]] == ["phase", "phase"]

@@ -127,27 +127,14 @@ def _oracle_levels(b):
                   for k in range(lay.n_levels) if lay.mu[k] != 0.0]
 
 
-def _sweep_bundles():
-    """Seeded cyclic draws at n = 1..16 and multiplicity draws of up to 5
-    atoms per level at n = 1..4."""
-    for seed in range(5):
-        rng = np.random.default_rng([seed, 1])
-        for n in range(1, 17):
-            yield hs.assemble(random_cyclic_data(rng, n))
-    for seed in range(20):
-        rng = np.random.default_rng([seed, 2])
-        for n in range(1, 5):
-            yield hs.assemble(random_multiplicity_data(rng, n, max_atoms=5))
-
-
 class TestBatchedCertificate:
     """The certificate walks each phase operator once over all its levels
     and stacks the Krylov matrices of one span into one SVD; each level must
     read the rank of its own walk and SVD."""
 
-    def test_matches_per_level_oracle(self, bundle_corpus):
+    def test_matches_per_level_oracle(self, bundle_corpus, seeded_sweep):
         good, bad = tampered_bundle()
-        for b in [*bundle_corpus, good, bad, *_sweep_bundles()]:
+        for b in [*bundle_corpus, good, bad, *map(hs.assemble, seeded_sweep)]:
             got = [(lv.kind, lv.index, lv.space_dim, lv.krylov_rank)
                    for lv in hs.cnu_certificate(b)]
             assert got == [(kind, k, d, _krylov_rank(s)) for kind, k, d, s in _oracle_levels(b)]
@@ -159,13 +146,13 @@ class TestBatchedCertificate:
         p_0 = level_projections(b)[0][0]
         assert _krylov_ranks(b.phi, np.column_stack([np.zeros_like(p_0), p_0]), [1, 1]) == [0, 1]
 
-    def test_rank_cut_margins(self, bundle_corpus):
+    def test_rank_cut_margins(self, bundle_corpus, seeded_sweep):
         # KRYLOV_RANK_RTOL's margins: every kept value, relative to its
         # level's largest, stays far above the cut, and every dropped one
         # (roundoff, and the tampered level's missing direction) far below
         kept, dropped = 1.0, 0.0
         _, bad = tampered_bundle()
-        for b in [*bundle_corpus, bad, *_sweep_bundles()]:
+        for b in [*bundle_corpus, bad, *map(hs.assemble, seeded_sweep)]:
             for *_, s in _oracle_levels(b):
                 r = _krylov_rank(s)
                 kept = min(kept, s[r - 1] / s[0])
