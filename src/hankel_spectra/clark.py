@@ -1,31 +1,32 @@
 """Finite Blaschke products with theta(0) = 0 and their Clark measures.
 
-The dictionary runs in both directions: the measure of an inner function is
-supported where theta = 1 on the circle with weights fixed by the integral
-identity (1 + theta)/(1 - theta) = integral of (1 + z conj(xi))/(1 - z conj(xi)),
-and conversely theta = (F - 1)/(F + 1) where F is that Herglotz-type sum.
-Reflection (conjugating the atoms) translates between the two orientations of
-the circle used by the per-level phase measures.
+The dictionary rests on the integral identity (1 + theta)/(1 - theta) =
+integral of (1 + z conj(xi))/(1 - z conj(xi)), and both directions are
+eigenproblems of one compressed shift (D. N. Clark, One dimensional
+perturbations of restricted shifts, J. Analyse Math. 1972): the nonzero zeros
+of theta are the spectrum of multiplication by z on L^2(rho) compressed to
+the complement of the constants, and the Clark measure of theta is the
+spectral measure, at e_0, of the unitary rank-one completion of theta's
+compressed shift.  Reflection (conjugating the atoms) translates between the
+two orientations of the circle used by the per-level phase measures.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
-from numpy.polynomial import polynomial as P
 
 from .errors import (
     DegenerateMeasureError,
     RootOffCircleError,
     ThetaAtOriginNonzeroError,
 )
+from .operator_assembly import _measure_frame
 from .spectral_data import AtomicMeasure
 
 ORIGIN_TOL = 1e-12
 ROOT_CIRCLE_TOL = 1e-10
-CONSTANT_TOL = 1e-6
 
 
 @dataclass(frozen=True, eq=False)
@@ -59,28 +60,6 @@ class BlaschkeProduct:
     def vanishes_at_origin(self) -> bool:
         return bool(np.any(np.abs(self.zeros) <= ORIGIN_TOL))
 
-    @cached_property
-    def _coefficients(self):
-        """``(num, den, num', den')``, read-only, derived once per product."""
-        # polyfromroots: the sorted roots' linear factors multiplied pairwise
-        factors = [np.array([-r, 1.0]) for r in np.sort(self.zeros)]
-        while len(factors) > 1:
-            m, odd = divmod(len(factors), 2)
-            tmp = [_mul(factors[i], factors[i + m]) for i in range(m)]
-            if odd:
-                tmp[0] = _mul(tmp[0], factors[-1])
-            factors = tmp
-        num = self.constant * factors[0]
-        den = _prod_one_minus(np.conj(self.zeros))
-        out = (num, den, _der(num), _der(den))
-        for c in out:
-            c.setflags(write=False)
-        return out
-
-    def as_rational(self):
-        """Coefficient vectors (low to high degree) of numerator and denominator."""
-        return self._coefficients[:2]
-
     def __call__(self, z):
         z = np.asarray(z, dtype=complex)
         out = np.full(z.shape, self.constant)
@@ -89,83 +68,42 @@ class BlaschkeProduct:
         return out if out.shape else complex(out)
 
     def derivative(self, z):
-        num, den, dnum, dden = self._coefficients
+        """``theta'(z) = theta(z) * sum_j (1 - |z_j|^2) / ((z - z_j)(1 - conj(z_j) z))``,
+        away from the zeros.  On the circle every term has the phase ``1/z``,
+        so ``|theta'|`` there is a sum of positive terms, free of cancellation."""
         z = np.asarray(z, dtype=complex)
-        dv = _horner(den, z)
-        out = (_horner(dnum, z) * dv - _horner(num, z) * _horner(dden, z)) / dv**2
+        a, zc = self.zeros, z[..., None]
+        terms = (1.0 - np.abs(a) ** 2) / ((zc - a) * (1.0 - np.conj(a) * zc))
+        out = self(z) * terms.sum(axis=-1)
         return out if out.shape else complex(out)
-
-
-# Coefficient arithmetic on complex arrays, low to high degree.  _trim, _mul,
-# _add, _der and _horner do what numpy.polynomial's trimseq, polymul, polyadd,
-# polyder and polyval do, operation for operation and with the same trim of
-# trailing zero coefficients on inputs and results, so results agree bit for
-# bit.  They skip the argument validation, which inner_from_measure would
-# otherwise pay on O(n^2) products.
-
-def _trim(c: np.ndarray) -> np.ndarray:
-    """``c`` without trailing zero coefficients, keeping at least one."""
-    n = len(c)
-    while n > 1 and c[n - 1] == 0:
-        n -= 1
-    return c[:n]
-
-
-def _mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return _trim(np.convolve(_trim(a), _trim(b)))
-
-
-def _add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    a, b = _trim(a), _trim(b)
-    if len(a) > len(b):
-        a, b = b, a
-    out = b.copy()
-    out[:len(a)] += a
-    return _trim(out)
-
-
-def _prod_one_minus(c: np.ndarray) -> np.ndarray:
-    """``prod_j (1 - c_j z)``, one factor at a time in the order of ``c``."""
-    out = np.ones(1, dtype=complex)
-    for cj in c:
-        out = _mul(out, np.array([1.0, -cj]))
-    return out
-
-
-def _der(c: np.ndarray) -> np.ndarray:
-    """``polyder``: coefficient j of the derivative is ``(j + 1) * c[j + 1]``."""
-    if len(c) == 1:
-        return c[:1] * 0
-    return np.array([j * c[j] for j in range(1, len(c))])
-
-
-def _horner(c: np.ndarray, x):
-    """``polyval``: Horner's rule from the leading coefficient down."""
-    c0 = c[-1] + x * 0
-    for a in c[-2::-1]:
-        c0 = a + c0 * x
-    return c0
 
 
 def clark_measure(theta: BlaschkeProduct) -> AtomicMeasure:
     """Circle probability measure of an inner function vanishing at the origin.
 
-    Support: the deg(theta) solutions of theta = 1 on the circle, found as
-    companion-matrix roots of numerator - denominator with one Newton step of
-    polish.  Weights: 1/|theta'| at each atom, the exact Clark weights when
-    theta(0) = 0.
+    With one origin zero first and ``r_j = sqrt(1 - |a_j|^2)``, the
+    compressed shift of theta in the Takenaka-Malmquist basis of its zeros
+    is the upper triangular ``T`` with diagonal ``a`` and ``T_jk = r_j r_k
+    prod_{j<l<k} (-conj a_l)`` above it.  ``T e_0 = 0``, ``I - T*T = e_0
+    e_0*`` and ``I - T T* = x x*`` with ``x_j = r_j prod_{l>j} (-conj a_l)``,
+    so ``U = T + conj(c) x e_0*`` is unitary with ``det U = (-1)^{m+1}
+    conj(c)``, the product of the solutions of theta = 1 (Clark 1972).  The
+    atoms are its eigenvalues, in ``np.sort`` order; the weights are
+    ``1/|theta'|`` there, the exact Clark weights when theta(0) = 0.
     """
     if not theta.vanishes_at_origin:
         raise ThetaAtOriginNonzeroError("theta(0) != 0: no zero at the origin")
-    num, den = theta.as_rational()
-    roots = P.polyroots(_add(num, -den))
-    if len(roots) != theta.degree:
-        raise RootOffCircleError(
-            f"expected {theta.degree} solutions of theta = 1, found {len(roots)}")
-    # one Newton step on theta(x) - 1
-    d = theta.derivative(roots)
-    safe = np.abs(d) > 1e-300
-    roots = np.where(safe, roots - (np.asarray(theta(roots)) - 1.0) / np.where(safe, d, 1.0), roots)
+    a = theta.zeros
+    a = np.concatenate(([0j], np.delete(a, np.argmin(np.abs(a)))))
+    m = len(a)
+    r = np.sqrt(1.0 - np.abs(a) ** 2)
+    # row j, column k - 1 holds r_j r_k prod_{j<l<k} (-conj a_l) for k = 1..m
+    # with r_m = 1: T above its diagonal, then x; one roll moves x to column 0
+    above = np.where(np.arange(m)[:, None] < np.arange(m), -np.conj(a), 1.0)
+    U = np.triu(np.cumprod(above, axis=1) * np.outer(r, np.append(r[1:], 1.0)))
+    U = np.roll(U, 1, axis=1) + np.diag(a)
+    U[:, 0] *= np.conj(theta.constant)
+    roots = np.sort(np.linalg.eigvals(U))
     off = np.abs(np.abs(roots) - 1.0)
     if np.any(off > ROOT_CIRCLE_TOL):
         raise RootOffCircleError(
@@ -178,47 +116,21 @@ def clark_measure(theta: BlaschkeProduct) -> AtomicMeasure:
 def inner_from_measure(rho: AtomicMeasure) -> BlaschkeProduct:
     """Invert the integral identity: theta = (F - 1)/(F + 1).
 
-    For a finitely supported circle probability measure, F - 1 and F + 1 share
-    the denominator prod(1 - z conj(xi_j)), so theta is the ratio of two
-    explicit polynomials; its zeros (one of them the origin) are companion
-    roots of the numerator.
+    theta(z) = 0 where F(z) = 1, that is at z = 0 and where ``sum_j w_j /
+    (xi_j - z) = 0``: the eigenvalues of ``diag(xi)`` compressed to the
+    complement of ``sqrt(w)``, read in the measure's frame (the phase block
+    of the operator bundle).  Comparing leading coefficients gives the
+    constant ``c = (-1)^{m-1} prod_j conj(xi_j)``.
     """
     if not (rho.circle and rho.probability):
         raise DegenerateMeasureError("expected a circle probability measure")
     xi = rho.points
-    w = rho.weights
-    n = len(xi)
-    xc = np.conj(xi)
-    den_poly = _prod_one_minus(xc)
-    p_poly = np.zeros(1, dtype=complex)
-    for j in range(n):
-        term = np.array([w[j], w[j] * xc[j]])
-        for i in range(n):
-            if i != j:
-                term = _mul(term, np.array([1.0, -xc[i]]))
-        p_poly = _add(p_poly, term)
-    num = _add(p_poly, -den_poly)
-    den = _add(p_poly, den_poly)
-
-    zeros = P.polyroots(num)
-    if len(zeros) != n:
-        raise RootOffCircleError(f"numerator degree dropped: {len(zeros)} zeros for {n} atoms")
+    H = _measure_frame(rho.weights)[1:]
+    zeros = np.sort(np.concatenate(([0j], np.linalg.eigvals((H * xi) @ H.T))))
     zeros = np.where(np.abs(zeros) <= 1e-8, 0.0, zeros)
-    if not np.any(np.abs(zeros) <= ORIGIN_TOL):
-        raise RootOffCircleError("inverted inner function must vanish at the origin")
-    if np.any(np.abs(zeros) >= 1.0):
-        raise RootOffCircleError("inverted inner function has a zero outside the open disk")
-
-    c = None
-    for z0 in (0.37, 0.49 + 0.11j, -0.23 + 0.31j, 0.05 - 0.43j):
-        b0 = np.prod((z0 - zeros) / (1.0 - np.conj(zeros) * z0))
-        dv = _horner(den, z0)
-        if abs(b0) > 1e-6 and abs(dv) > 1e-12:
-            c = _horner(num, z0) / dv / b0
-            break
-    if c is None or abs(abs(c) - 1.0) > CONSTANT_TOL:
-        raise RootOffCircleError("could not normalize the unimodular constant")
-    return BlaschkeProduct(zeros=zeros, constant=c / abs(c))
+    c = (-1) ** (len(xi) - 1) * np.prod(np.conj(xi))
+    # + 0j turns a signed zero part into +0.0, which the sign flip can leave
+    return BlaschkeProduct(zeros=zeros, constant=c / abs(c) + 0j)
 
 
 def reflect_measure(rho: AtomicMeasure) -> AtomicMeasure:

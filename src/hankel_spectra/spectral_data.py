@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -62,6 +63,36 @@ class IntertwinedSpectrum:
     @property
     def has_terminal_zero(self) -> bool:
         return self.mu[-1] == 0.0
+
+    @cached_property
+    def _borg_weights(self) -> AtomicMeasure:
+        """:func:`borg_weights`, read by the bundle's build, by
+        :func:`mu_weights` and by the round-trip report; a refusal caches
+        nothing.  The double loop runs on Python floats."""
+        lam2, mu2 = self.lam2.tolist(), self.mu2.tolist()
+        n = self.n
+        weights = np.empty(n)
+        for i in range(n):
+            log_a = math.log(lam2[i] - mu2[i])
+            sign = 1.0
+            for k in range(n):
+                if k == i:
+                    continue
+                num = lam2[i] - mu2[k]
+                den = lam2[i] - lam2[k]
+                log_a += math.log(abs(num)) - math.log(abs(den))
+                if num < 0:
+                    sign = -sign
+                if den < 0:
+                    sign = -sign
+            if abs(log_a) > _LOG_RANGE:
+                raise WeightRangeError(f"weight {i} has log magnitude {log_a:.1f}")
+            if sign <= 0:
+                # Interlacing forces every weight positive; a flipped sign means
+                # the input slipped past validation.
+                raise NonInterlacingError(i, f"weight {i} came out nonpositive")
+            weights[i] = math.exp(log_a)
+        return AtomicMeasure(points=self.lam2.astype(complex), weights=weights)
 
 
 def validate_intertwining(lam, mu) -> IntertwinedSpectrum:
@@ -258,33 +289,9 @@ def borg_weights(s: IntertwinedSpectrum) -> AtomicMeasure:
     ``a_n = (lambda_n^2 - mu_n^2) * prod_{k != n} (lambda_n^2 - mu_k^2) /
     (lambda_n^2 - lambda_k^2)``.  The product is accumulated in log magnitude
     with a separate sign so clustered spectra near n = 12 neither overflow nor
-    underflow before the final exponentiation.
+    underflow before the final exponentiation.  Derived once per spectrum.
     """
-    lam2 = s.lam2
-    mu2 = s.mu2
-    n = s.n
-    weights = np.empty(n)
-    for i in range(n):
-        log_a = math.log(lam2[i] - mu2[i])
-        sign = 1.0
-        for k in range(n):
-            if k == i:
-                continue
-            num = lam2[i] - mu2[k]
-            den = lam2[i] - lam2[k]
-            log_a += math.log(abs(num)) - math.log(abs(den))
-            if num < 0:
-                sign = -sign
-            if den < 0:
-                sign = -sign
-        if abs(log_a) > _LOG_RANGE:
-            raise WeightRangeError(f"weight {i} has log magnitude {log_a:.1f}")
-        if sign <= 0:
-            # Interlacing forces every weight positive; a flipped sign means
-            # the input slipped past validation.
-            raise NonInterlacingError(i, f"weight {i} came out nonpositive")
-        weights[i] = math.exp(log_a)
-    return AtomicMeasure(points=lam2.astype(complex), weights=weights)
+    return s._borg_weights
 
 
 def mu_weights(s: IntertwinedSpectrum) -> AtomicMeasure:

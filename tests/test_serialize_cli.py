@@ -499,9 +499,9 @@ def test_tolerances_must_be_finite_and_positive(command, flag, value, tmp_path, 
 
 
 def test_cli_loads_no_scipy(tmp_path):
-    # a fresh interpreter, since this one holds scipy for the test oracles;
-    # every command runs, and the multiplicity fixture reaches the phase
-    # step of a multi-atom level
+    # a fresh interpreter, since this one holds scipy and numpy.polynomial
+    # for the test oracles; every command runs, and the multiplicity fixture
+    # reaches the phase step of a multi-atom level
     script = """
 import sys
 import hankel_spectra
@@ -516,7 +516,8 @@ for argv in (
     ["stability", "--input", f"{fixtures}/rank2_cyclic.json", "--output", f"{out}/stab"],
 ):
     assert main(argv) == 0, argv
-loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+loaded = sorted(m for m in sys.modules
+                if m.split(".")[0] == "scipy" or m.startswith("numpy.polynomial"))
 assert not loaded, loaded
 """
     src = str(Path(hs.__file__).resolve().parents[1])

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -136,6 +138,29 @@ class TestBorgWeights:
         rhs = float(np.prod(s.mu2 / s.lam2))
         assert abs(lhs - rhs) <= 1e-10
         assert np.sum(rho.weights / s.lam2) <= 1.0 + 1e-12
+
+    def test_derived_once_per_spectrum(self):
+        s = random_spectrum(np.random.default_rng(4), 6)
+        assert hs.borg_weights(s) is hs.borg_weights(s)
+
+    def test_python_floats_match_the_numpy_scalar_loop(self):
+        # the log-product loop on numpy scalars, as it ran before the weights
+        # moved onto Python floats: the same operations, so the same bits
+        def reference(s):
+            lam2, mu2, out = s.lam2, s.mu2, []
+            for i in range(s.n):
+                log_a = math.log(lam2[i] - mu2[i])
+                for k in range(s.n):
+                    if k != i:
+                        log_a += (math.log(abs(lam2[i] - mu2[k]))
+                                  - math.log(abs(lam2[i] - lam2[k])))
+                out.append(math.exp(log_a))
+            return np.array(out)
+
+        for n in range(1, 17):
+            for seed in range(10):
+                s = random_spectrum(np.random.default_rng([seed, n]), n)
+                assert np.array_equal(hs.borg_weights(s).weights, reference(s))
 
 
 def projection_weights(b):
