@@ -110,7 +110,7 @@ def clark_measure(theta: BlaschkeProduct) -> AtomicMeasure:
             f"solution of theta = 1 lies {off.max():.3e} off the circle")
     roots = roots / np.abs(roots)
     weights = 1.0 / np.abs(theta.derivative(roots))
-    return AtomicMeasure(points=roots, weights=weights, circle=True, probability=True)
+    return AtomicMeasure(points=roots, weights=weights)
 
 
 def inner_from_measure(rho: AtomicMeasure) -> BlaschkeProduct:
@@ -122,8 +122,6 @@ def inner_from_measure(rho: AtomicMeasure) -> BlaschkeProduct:
     of the operator bundle).  Comparing leading coefficients gives the
     constant ``c = (-1)^{m-1} prod_j conj(xi_j)``.
     """
-    if not (rho.circle and rho.probability):
-        raise DegenerateMeasureError("expected a circle probability measure")
     xi = rho.points
     H = _measure_frame(rho.weights)[1:]
     zeros = np.sort(np.concatenate(([0j], np.linalg.eigvals((H * xi) @ H.T))))
@@ -135,8 +133,7 @@ def inner_from_measure(rho: AtomicMeasure) -> BlaschkeProduct:
 
 def reflect_measure(rho: AtomicMeasure) -> AtomicMeasure:
     """Pull the measure back through the circle conjugation; involutive."""
-    return AtomicMeasure(points=np.conj(rho.points), weights=rho.weights.copy(),
-                         circle=rho.circle, probability=rho.probability)
+    return AtomicMeasure(points=np.conj(rho.points), weights=rho.weights)
 
 
 def gp_convert_to_measures(thetas, theta1s):

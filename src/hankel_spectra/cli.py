@@ -264,7 +264,7 @@ def main(argv=None) -> int:
     try:
         cfg = JobConfig(**opts)
     except SchemaError as exc:
-        print(json.dumps({"error": "Schema", "message": str(exc)}), file=sys.stderr)
+        _emit_error(exc)
         return 2
     return run(cfg)
 

@@ -29,9 +29,11 @@ from .errors import (
     ClusterAmbiguityError,
     DegenerateSpectrumError,
     TruncationTooSmallError,
+    WeightRangeError,
 )
 from .operator_assembly import ORBIT_BLOCK, TRUNCATION_CAP, OperatorBundle, assemble, orbit
 from .spectral_data import (
+    SCALE_MAX,
     AtomicMeasure,
     CompactSpectralData,
     validate_intertwining,
@@ -142,11 +144,14 @@ class HankelMatrix:
     @classmethod
     def from_gamma(cls, gamma, N: int) -> "HankelMatrix":
         """The truncation of order ``N`` from exactly 2N - 1 values of gamma;
-        any other count raises ValueError, never a silent pad or cut."""
+        any other count raises ValueError, never a silent pad or cut, and a
+        modulus above ``SCALE_MAX`` raises WeightRangeError."""
         gamma = np.array(gamma, dtype=complex)
         if gamma.shape != (2 * N - 1,):
             raise ValueError(f"N = {N} needs 2N - 1 = {2 * N - 1} gamma values, "
                              f"got shape {gamma.shape}")
+        if (top := np.abs(gamma).max()) > SCALE_MAX:
+            raise WeightRangeError(f"|gamma| reaches {top:.3e} > SCALE_MAX = {SCALE_MAX:.0e}")
         gamma.setflags(write=False)
         return cls(gamma=gamma, N=N)
 
@@ -417,9 +422,7 @@ def _unitary_spectral_measure(U: np.ndarray, residuals: dict) -> AtomicMeasure:
     atoms = omega * (x - 1j) / (x + 1j)
     weights = np.abs(Z[0, :]) ** 2
     keep = weights > 1e-12
-    atoms, weights = atoms[keep], weights[keep]
-    weights = weights / weights.sum()
-    return AtomicMeasure(points=atoms, weights=weights, circle=True, probability=True)
+    return AtomicMeasure(points=atoms[keep], weights=weights[keep] / weights[keep].sum())
 
 
 @dataclass(frozen=True, eq=False)

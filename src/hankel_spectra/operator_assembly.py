@@ -189,11 +189,11 @@ def orbit(M: np.ndarray, v: np.ndarray, count: int) -> np.ndarray:
 
     The first ORBIT_BLOCK columns are built one product at a time; every later
     block is ``M^ORBIT_BLOCK`` times the block before it, one matrix-matrix
-    product per block.  Every matrix walked here (Sigma*, phi, phi1 and
-    their adjoints) is a contraction, so ``M^ORBIT_BLOCK`` has norm at
-    most 1 and a block product adds the roundoff of one product, as a step of
-    a serial walk does.  The symbol, the truncation tail, the decay profile
-    and the Krylov ranks of the phase operators all read this array.
+    product per block.  The matrices walked here, Sigma* and Sigma, are
+    contractions, so ``M^ORBIT_BLOCK`` has norm at most 1 and a block product
+    adds the roundoff of one product, as a step of a serial walk does.  The
+    orbit of Sigma* gives the symbol, the truncation tail and the decay
+    profile; ``truncation_singular_values`` reads it with the orbit of Sigma.
     """
     out = np.empty((len(v), count), dtype=np.result_type(M, v), order="F")
     if count:
@@ -374,7 +374,7 @@ def _secular_vectors(s: IntertwinedSpectrum):
     - mu_k^2)``.  By the secular equation ``X[:, k] . p = 1 > 0``, so every
     column has a fixed sign.
     """
-    p = np.sqrt(borg_weights(s).weights)
+    p = np.sqrt(borg_weights(s))
     X = p[:, None] / (s.lam2[:, None] - s.mu2[None, :])
     return p, X / np.linalg.norm(X, axis=0)
 

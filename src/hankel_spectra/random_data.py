@@ -88,8 +88,7 @@ def random_circle_measure(rng: np.random.Generator, m: int) -> AtomicMeasure:
     angles += rng.uniform(0.0, 2.0 * np.pi)
     weights = rng.uniform(0.3, 1.0, size=m)
     weights /= weights.sum()
-    return AtomicMeasure(points=np.exp(1j * angles), weights=weights,
-                         circle=True, probability=True)
+    return AtomicMeasure(points=np.exp(1j * angles), weights=weights)
 
 
 def random_multiplicity_data(rng: np.random.Generator, n: int, max_atoms: int = 3,

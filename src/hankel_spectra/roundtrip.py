@@ -57,7 +57,7 @@ def roundtrip_errors(d: CompactSpectralData, recovered: ForwardData) -> dict:
     mu_den = np.where(s.mu > 0, s.mu, s.lam[0])
     lam_err = float(np.max(np.abs(got.spectrum.lam - s.lam) / s.lam))
     mu_err = float(np.max(np.abs(got.spectrum.mu - s.mu) / mu_den))
-    w, w1 = borg_weights(s).weights, mu_weights(s).weights
+    w, w1 = borg_weights(s), mu_weights(s)
     w_err = float(np.max(np.abs(recovered.w - w) / w))
     w1_err = float(np.max(np.abs(recovered.w1 - w1) / w1))
     phase_err = 0.0

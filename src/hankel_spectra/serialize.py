@@ -19,7 +19,7 @@ from itertools import chain
 import numpy as np
 
 from .clark import BlaschkeProduct
-from .errors import BundleInvariantError, SchemaError
+from .errors import BundleInvariantError, DegenerateMeasureError, SchemaError
 from .hankel_core import ForwardData, HankelMatrix
 from .operator_assembly import BlockLayout, OperatorBundle, assemble_from_operators
 from .spectral_data import (
@@ -258,12 +258,9 @@ def parse_spectrum(doc: dict) -> IntertwinedSpectrum:
 _MEASURE_FLAGS = ("circle", "probability")
 
 def emit_measure(m: AtomicMeasure) -> dict:
-    atoms = []
-    for point, weight in zip(m.points, m.weights):
-        encoded = point.real if (not m.circle and point.imag == 0.0) else _c(point)
-        atoms.append({"point": encoded, "weight": float(weight)})
-    flags = [f for f, on in zip(_MEASURE_FLAGS, (m.circle, m.probability)) if on]
-    return {"schema": "measure.v1", "atoms": atoms, "flags": flags}
+    atoms = [{"point": _c(point), "weight": float(weight)}
+             for point, weight in zip(m.points, m.weights)]
+    return {"schema": "measure.v1", "atoms": atoms, "flags": list(_MEASURE_FLAGS)}
 
 
 def parse_measure(doc: dict) -> AtomicMeasure:
@@ -278,8 +275,9 @@ def parse_measure(doc: dict) -> AtomicMeasure:
     if not isinstance(flags, list) or any(f not in _MEASURE_FLAGS for f in flags):
         raise SchemaError(f"measure.v1: flags must be a list of names from {_MEASURE_FLAGS}, "
                           f"got {flags!r}")
-    return AtomicMeasure(points=points, weights=weights,
-                         circle="circle" in flags, probability="probability" in flags)
+    if not set(_MEASURE_FLAGS) <= set(flags):
+        raise DegenerateMeasureError(f"measure.v1: flags {flags!r} must name both {_MEASURE_FLAGS}")
+    return AtomicMeasure(points=points, weights=weights)
 
 
 # spectral_data.v1

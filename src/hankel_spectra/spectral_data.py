@@ -36,6 +36,12 @@ PROBABILITY_TOL = 1e-8
 # Largest magnitude of a log-weight that still exponentiates to a normal double.
 _LOG_RANGE = 700.0
 
+# Largest lambda_1 and |gamma_k|.  The highest powers formed are lambda_1^4 (the
+# mu-weight closed form, the law table) and N^5 max|gamma|^4 (the rank-one
+# identity residual's masses) at N <= TRUNCATION_CAP = 4096: 4096^5 * 1e288 =
+# 1.2e306 < 1.8e308.  |gamma_k| <= ||Gamma|| = lambda_1 keeps symbols inside.
+SCALE_MAX = 1e72
+
 
 @dataclass(frozen=True, eq=False)
 class IntertwinedSpectrum:
@@ -65,7 +71,7 @@ class IntertwinedSpectrum:
         return self.mu[-1] == 0.0
 
     @cached_property
-    def _borg_weights(self) -> AtomicMeasure:
+    def _borg_weights(self) -> np.ndarray:
         """:func:`borg_weights`, read by the bundle's build, by
         :func:`mu_weights` and by the round-trip report; a refusal caches
         nothing.  The double loop runs on Python floats."""
@@ -92,7 +98,8 @@ class IntertwinedSpectrum:
                 # the input slipped past validation.
                 raise NonInterlacingError(i, f"weight {i} came out nonpositive")
             weights[i] = math.exp(log_a)
-        return AtomicMeasure(points=self.lam2.astype(complex), weights=weights)
+        weights.setflags(write=False)
+        return weights
 
 
 def validate_intertwining(lam, mu) -> IntertwinedSpectrum:
@@ -101,6 +108,7 @@ def validate_intertwining(lam, mu) -> IntertwinedSpectrum:
     Raises :class:`NonInterlacingError` with the 0-based index of the pair
     ``(lam_k, mu_k)`` at which the chain first fails; near-coincident values
     (relative squared gap below ``DISTINCTNESS_RTOL``) count as failures.
+    Values above ``SCALE_MAX`` raise :class:`WeightRangeError` before any is squared.
     """
     lam = np.asarray(lam, dtype=float)
     mu = np.asarray(mu, dtype=float)
@@ -116,6 +124,8 @@ def validate_intertwining(lam, mu) -> IntertwinedSpectrum:
             raise NegativeEntryError(k, f"lambda[{k}] = {lam[k]} must be positive")
         if mu[k] < 0:
             raise NegativeEntryError(k, f"mu[{k}] = {mu[k]} must be nonnegative")
+    if (top := max(lam.max(), mu.max())) > SCALE_MAX:
+        raise WeightRangeError(f"spectral data reach {top:.3e} > SCALE_MAX = {SCALE_MAX:.0e}")
     gap = DISTINCTNESS_RTOL * max(float(lam[0]) ** 2, 1.0)
     for k in range(n):
         if lam[k] ** 2 - mu[k] ** 2 <= gap:
@@ -134,16 +144,12 @@ def validate_intertwining(lam, mu) -> IntertwinedSpectrum:
 
 @dataclass(frozen=True, eq=False)
 class AtomicMeasure:
-    """Finitely supported nonnegative measure: distinct points, positive weights.
-
-    ``circle`` asserts all points are unimodular, ``probability`` that the
-    weights sum to one; both are validated on construction.
-    """
+    """Finitely supported probability measure on the unit circle: distinct
+    unimodular points, positive weights summing to one; validated on
+    construction."""
 
     points: np.ndarray
     weights: np.ndarray
-    circle: bool = False
-    probability: bool = False
 
     def __post_init__(self):
         # copies: freezing them must not freeze the caller's arrays
@@ -168,17 +174,17 @@ class AtomicMeasure:
                 # is the first pair (i < j) in the order i, then j
                 i, j = divmod(int(close.argmax()), m)
                 raise DegenerateMeasureError(f"atoms {i} and {j} coincide")
-        if self.circle and any(abs(r - 1.0) > UNIT_MODULUS_TOL for r in moduli):
+        if any(abs(r - 1.0) > UNIT_MODULUS_TOL for r in moduli):
             raise DegenerateMeasureError("circle measure has a point off the unit circle")
-        if self.probability and abs(weights.sum() - 1.0) > PROBABILITY_TOL:
+        if abs(weights.sum() - 1.0) > PROBABILITY_TOL:
             raise DegenerateMeasureError(f"weights sum to {weights.sum()}, not 1")
         points.setflags(write=False)
         weights.setflags(write=False)
 
     @classmethod
     def point_mass(cls, z) -> "AtomicMeasure":
-        """The circle probability measure delta_z of a unimodular phase z."""
-        return cls(points=[complex(z)], weights=[1.0], circle=True, probability=True)
+        """The point mass delta_z of a unimodular phase z."""
+        return cls(points=[complex(z)], weights=[1.0])
 
 
 def _check_unimodular(values, what: str):
@@ -187,11 +193,6 @@ def _check_unimodular(values, what: str):
     if np.any(bad):
         k = int(np.argmax(bad))
         raise NonUnimodularPhaseError(f"{what}[{k}] = {values[k]} is not unimodular")
-    return values
-
-
-def _is_circle_probability(m) -> bool:
-    return isinstance(m, AtomicMeasure) and m.circle and m.probability
 
 
 def phase_mode(levels) -> str:
@@ -219,25 +220,22 @@ class CompactSpectralData:
     rho1: tuple
 
     def __post_init__(self):
-        n = self.spectrum.n
+        n, terminal = self.spectrum.n, self.spectrum.has_terminal_zero
         rho = tuple(self.rho)
         rho1 = list(self.rho1)
         if len(rho) != n:
             raise DegenerateMeasureError(f"expected {n} rho measures, got {len(rho)}")
-        if self.spectrum.has_terminal_zero and len(rho1) == n - 1:
+        if terminal and len(rho1) == n - 1:
             rho1 = rho1 + [None]
         if len(rho1) != n:
             raise DegenerateMeasureError(f"expected {n} rho1 measures, got {len(rho1)}")
-        for k, m in enumerate(rho):
-            if not _is_circle_probability(m):
-                raise DegenerateMeasureError(f"rho[{k}] must be a circle probability measure")
-        for k, m in enumerate(rho1):
-            if k == n - 1 and self.spectrum.has_terminal_zero:
-                if m is not None:
-                    raise DegenerateMeasureError("rho1 must be absent at the terminal mu = 0")
-                continue
-            if not _is_circle_probability(m):
-                raise DegenerateMeasureError(f"rho1[{k}] must be a circle probability measure")
+        for name, levels in (("rho", rho), ("rho1", rho1[:n - terminal])):
+            for k, m in enumerate(levels):
+                if not isinstance(m, AtomicMeasure):
+                    raise DegenerateMeasureError(f"{name}[{k}] must be a circle "
+                                                 "probability measure")
+        if terminal and rho1[-1] is not None:
+            raise DegenerateMeasureError("rho1 must be absent at the terminal mu = 0")
         object.__setattr__(self, "rho", rho)
         object.__setattr__(self, "rho1", tuple(rho1))
 
@@ -283,8 +281,9 @@ class CompactSpectralData:
         return self._phases(self.rho1)
 
 
-def borg_weights(s: IntertwinedSpectrum) -> AtomicMeasure:
-    """Weights of the spectral measure ``rho = sum a_n delta_{lambda_n^2}``.
+def borg_weights(s: IntertwinedSpectrum) -> np.ndarray:
+    """The weights ``a_n`` of the spectral measure ``sum a_n delta_{lambda_n^2}``,
+    a read-only float array.
 
     ``a_n = (lambda_n^2 - mu_n^2) * prod_{k != n} (lambda_n^2 - mu_k^2) /
     (lambda_n^2 - lambda_k^2)``.  The product is accumulated in log magnitude
@@ -294,15 +293,18 @@ def borg_weights(s: IntertwinedSpectrum) -> AtomicMeasure:
     return s._borg_weights
 
 
-def mu_weights(s: IntertwinedSpectrum) -> AtomicMeasure:
-    """Weights of ``sum b_k delta_{mu_k^2}``, the spectral measure of
-    ``diag(lambda^2) - p p*`` at ``p = sqrt(a)``, a the :func:`borg_weights`.
+def mu_weights(s: IntertwinedSpectrum) -> np.ndarray:
+    """The weights ``b_k`` of ``sum b_k delta_{mu_k^2}``, the spectral measure
+    of ``diag(lambda^2) - p p*`` at ``p = sqrt(a)``, a the :func:`borg_weights`;
+    a read-only float array.
 
     The eigenvector at the root ``mu_k^2`` of the secular function
     ``1 - sum_i a_i / (lambda_i^2 - z)`` is ``(diag(lambda^2) - mu_k^2)^{-1} p``,
     so ``b_k = 1 / sum_i a_i / (lambda_i^2 - mu_k^2)^2``, the reciprocal
     derivative there; a terminal ``mu_n = 0`` is no exception.
     """
-    a = borg_weights(s).weights
-    weights = 1.0 / (a / (s.lam2 - s.mu2[:, None]) ** 2).sum(axis=1)
-    return AtomicMeasure(points=s.mu2.astype(complex), weights=weights)
+    weights = 1.0 / (borg_weights(s) / (s.lam2 - s.mu2[:, None]) ** 2).sum(axis=1)
+    if not np.all((weights > 0.0) & (weights < math.inf)):
+        raise DegenerateMeasureError("weights must be strictly positive and finite")
+    weights.setflags(write=False)
+    return weights

@@ -43,6 +43,35 @@ def herglotz_sum():
     return F
 
 
+@pytest.fixture
+def explicit_formula_symbol():
+    """``(d, K) -> gamma_0..gamma_K`` from the data alone, by the explicit
+    formula of Gerard and Grellier: no operator bundle is built.
+
+    u(z) = 1^T C(z)^{-1} Psi(z) with C_jk = (lambda_j - z mu_k Psi_j chi_k) /
+    (lambda_j^2 - mu_k^2), Psi_j = theta_j(z) / z and chi_k = conj
+    theta1_k(conj z) / z (chi_k = 1 at a terminal mu_n = 0), the inner
+    functions theta from ``gp_convert_to_inner``.  u is sampled at the M-th
+    roots of unity, M = ``_fft_length(2K + 64)``, and its Taylor coefficients
+    are read from one FFT; the aliased terms gamma_{k+M} are past the tail.
+    """
+    from hankel_spectra.hankel_core import _fft_length
+
+    def symbol(d, K):
+        s = d.spectrum
+        thetas, theta1s = hs.gp_convert_to_inner(d.rho, d.rho1)
+        M = _fft_length(2 * K + 64)
+        z = np.exp(2j * np.pi * np.arange(M) / M)
+        psi = np.stack([th(z) / z for th in thetas], axis=-1)
+        chi = np.stack([np.ones(M) if th is None else np.conj(th(np.conj(z))) / z
+                        for th in theta1s], axis=-1)
+        C = ((s.lam[:, None] - z[:, None, None] * s.mu * psi[:, :, None] * chi[:, None, :])
+             / (s.lam2[:, None] - s.mu2))
+        u = np.linalg.solve(C, psi[..., None])[..., 0].sum(axis=-1)
+        return np.fft.fft(u)[: K + 1] / M
+    return symbol
+
+
 @pytest.fixture(scope="session")
 def seeded_sweep():
     """Seeded cyclic draws at n = 1..16 and multiplicity draws of up to 5

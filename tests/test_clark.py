@@ -21,7 +21,7 @@ FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 def delta(point):
-    return hs.AtomicMeasure([point], [1.0], circle=True, probability=True)
+    return hs.AtomicMeasure([point], [1.0])
 
 
 class TestBlaschkeProduct:
@@ -104,16 +104,15 @@ class TestInnerFromMeasure:
         assert theta.constant == 1.0 + 0j
 
     def test_half_half(self):
-        m = hs.AtomicMeasure([1.0 + 0j, -1.0 + 0j], [0.5, 0.5],
-                             circle=True, probability=True)
+        m = hs.AtomicMeasure([1.0 + 0j, -1.0 + 0j], [0.5, 0.5])
         theta = hs.inner_from_measure(m)
         np.testing.assert_allclose(theta.zeros, [0.0, 0.0], atol=1e-12)
         assert theta.constant == pytest.approx(1.0 + 0j)
 
     def test_rejects_non_probability(self):
-        m = hs.AtomicMeasure([1.0 + 0j], [2.0], circle=True)
-        with pytest.raises(DegenerateMeasureError):
-            hs.inner_from_measure(m)
+        # a mass other than 1 is refused on construction, before the dictionary
+        with pytest.raises(DegenerateMeasureError, match="not 1"):
+            hs.AtomicMeasure([1.0 + 0j], [2.0])
 
     @pytest.mark.parametrize("seed", range(6))
     def test_roundtrip_random(self, seed):
@@ -143,7 +142,7 @@ class TestReflection:
     def test_involution_preserves_mass(self, degrees):
         points = np.exp(1j * np.deg2rad(np.asarray(degrees, dtype=float)))
         weights = np.linspace(1.0, 2.0, len(points))
-        m = hs.AtomicMeasure(points, weights, circle=True)
+        m = hs.AtomicMeasure(points, weights / weights.sum())
         twice = hs.reflect_measure(hs.reflect_measure(m))
         np.testing.assert_allclose(twice.points, m.points)
         assert twice.weights.sum() == pytest.approx(m.weights.sum())
@@ -306,8 +305,7 @@ class TestCoefficientPath:
 
 def equal_weight_measure(angles):
     m = len(angles)
-    return hs.AtomicMeasure(np.exp(1j * np.asarray(angles)), np.full(m, 1.0 / m),
-                            circle=True, probability=True)
+    return hs.AtomicMeasure(np.exp(1j * np.asarray(angles)), np.full(m, 1.0 / m))
 
 
 class TestClusteredAtoms:
@@ -334,8 +332,7 @@ class TestClusteredAtoms:
                 rng = np.random.default_rng([seed, m])
                 weights = rng.uniform(0.1, 1.0, m)
                 angles = rng.uniform(0.0, 2.0 * np.pi) + sep * np.arange(m)
-                rho = hs.AtomicMeasure(np.exp(1j * angles), weights / weights.sum(),
-                                       circle=True, probability=True)
+                rho = hs.AtomicMeasure(np.exp(1j * angles), weights / weights.sum())
                 back = hs.clark_measure(hs.inner_from_measure(rho))
                 assert atoms_difference(back, rho) <= 1e-11 / sep, (m, seed)
 

@@ -17,7 +17,7 @@ from hankel_spectra.errors import (
     TruncationTooSmallError,
 )
 from hankel_spectra.hankel_core import _orthogonal_complement_in_level, _unitary_spectral_measure
-from hankel_spectra.operator_assembly import orbit
+from hankel_spectra.operator_assembly import TRUNCATION_CAP, orbit
 from hankel_spectra.random_data import random_cyclic_data, random_multiplicity_data
 from hankel_spectra.roundtrip import atoms_difference, run_roundtrip_trial
 
@@ -55,9 +55,27 @@ class TestGammaSequence:
         rng = np.random.default_rng(7)
         d = random_cyclic_data(rng, 5, max_contraction=0.97)
         b = hs.assemble(d)
-        rho = hs.borg_weights(d.spectrum)
-        expected0 = np.sum(rho.weights * np.asarray(d.xi) / d.spectrum.lam)
+        expected0 = np.sum(hs.borg_weights(d.spectrum) * np.asarray(d.xi) / d.spectrum.lam)
         assert hs.gamma_sequence(b, 0)[0] == pytest.approx(expected0)
+
+    def test_matches_the_explicit_formula(self, explicit_formula_symbol):
+        # the whole symbol up to gamma_{2N-2}, N the certified truncation
+        # (TRUNCATION_CAP where none certifies), against the bundle-free formula
+        rng = np.random.default_rng(4242)
+        draws = [(random_cyclic_data, n, {}) for n in range(1, 17)]
+        draws += [(random_multiplicity_data, n, {"max_atoms": 4}) for n in range(1, 9)]
+        for draw, n, options in draws:
+            for _ in range(3):
+                d = draw(rng, n, **options)
+                b = hs.assemble(d)
+                try:
+                    N = hs.certified_truncation(b)
+                except TruncationTooSmallError:
+                    N = TRUNCATION_CAP
+                gamma = hs.gamma_sequence(b, 2 * N - 2)
+                oracle = explicit_formula_symbol(d, 2 * N - 2)
+                top = np.abs(gamma).max()
+                assert np.abs(gamma - oracle).max() <= 1e-13 * top, (d.mode, n, N)
 
 
 class TestHankelFromData:
@@ -76,8 +94,7 @@ class TestHankelFromData:
     def test_positive_terminal_mu(self):
         # lam=[1], mu=[0.5]: weight 0.75; shifted truncation has top value 0.5
         s = hs.validate_intertwining([1.0], [0.5])
-        rho = hs.borg_weights(s)
-        assert rho.weights[0] == pytest.approx(0.75)
+        assert hs.borg_weights(s)[0] == pytest.approx(0.75)
         d = hs.CompactSpectralData.cyclic(s, [1.0], [1.0])
         h = hs.hankel_from_data(d)
         sv1 = np.linalg.svd(dense_shifted(h), compute_uv=False)
@@ -213,7 +230,7 @@ class TestSymbolCrossCheck:
         rng = np.random.default_rng(seed)
         s = hs.validate_intertwining([1.0, 0.5], [0.8, 0.2])
         atoms = AtomicMeasure(points=np.exp(2j * np.pi * np.sort(rng.random(3))),
-                              weights=rng.dirichlet(np.ones(3)), circle=True, probability=True)
+                              weights=rng.dirichlet(np.ones(3)))
         point = AtomicMeasure.point_mass(np.exp(1j * rng.random()))
         b = hs.assemble(hs.CompactSpectralData(s, [atoms, point], [atoms, point]))
         level, op = (1.0, b.R) if which == "phi" else (0.8, b.R1)
@@ -567,13 +584,12 @@ class TestForwardExtract:
         # the atom at angle 0 comes back at angle about -1e-16 and sorts last;
         # the recovery is exact, and so must the reported phase error be
         s = hs.validate_intertwining([1.0], [0.0])
-        rho = hs.AtomicMeasure([1.0, -1.0, 1j], [0.3, 0.3, 0.4], circle=True, probability=True)
+        rho = hs.AtomicMeasure([1.0, -1.0, 1j], [0.3, 0.3, 0.4])
         errs = run_roundtrip_trial(hs.CompactSpectralData(s, [rho], [None]))
         assert errs["phases"] <= 1e-12
 
     def test_atoms_difference_across_the_seam(self):
-        a, b = (hs.AtomicMeasure(np.exp(1j * np.array([t, -1.0])), [0.5, 0.5],
-                                 circle=True, probability=True) for t in (1e-12, -1e-12))
+        a, b = (hs.AtomicMeasure(np.exp(1j * np.array([t, -1.0])), [0.5, 0.5]) for t in (1e-12, -1e-12))
         assert atoms_difference(a, b) <= 3e-12
         assert atoms_difference(b, a) <= 3e-12
 

@@ -62,7 +62,7 @@ class TestAssembleMultiplicity:
         cases = [hs.CompactSpectralData.cyclic(rank2_spectrum, xi, eta)]
         rng = np.random.default_rng(11)
         cases += [random_cyclic_data(rng, n) for n in range(3, 9)]
-        to_measure = lambda v: hs.AtomicMeasure([v], [1.0], circle=True, probability=True)
+        to_measure = lambda v: hs.AtomicMeasure([v], [1.0])
         for d in cases:
             s = d.spectrum
             rho1 = [None if v == 0 else to_measure(v) for v in d.eta]
@@ -75,8 +75,7 @@ class TestAssembleMultiplicity:
     def test_two_atom_level(self):
         # lam=[1], mu=[0], two-atom level measure: dim 2, phi eigenvalues {1,-1}
         s = hs.validate_intertwining([1.0], [0.0])
-        rho = [hs.AtomicMeasure([1.0 + 0j, -1.0 + 0j], [0.5, 0.5],
-                                circle=True, probability=True)]
+        rho = [hs.AtomicMeasure([1.0 + 0j, -1.0 + 0j], [0.5, 0.5])]
         b = hs.assemble(hs.CompactSpectralData(s, rho, [None]))
         assert b.dim == 2
         np.testing.assert_allclose(np.sort(np.linalg.eigvals(b.phi).real), [-1.0, 1.0],
@@ -110,8 +109,7 @@ class TestAssembleMultiplicity:
     def test_support_check(self):
         # a vanishing atom weight breaks *-cyclicity of the level block
         s = hs.validate_intertwining([1.0], [0.0])
-        rho = [hs.AtomicMeasure([1.0 + 0j, -1.0 + 0j], [1.0 - 1e-15, 1e-15],
-                                circle=True, probability=True)]
+        rho = [hs.AtomicMeasure([1.0 + 0j, -1.0 + 0j], [1.0 - 1e-15, 1e-15])]
         with pytest.raises(SupportNotCyclicError, match=r"rho\[0\]"):
             hs.assemble(hs.CompactSpectralData(s, rho, [None]))
 
@@ -379,8 +377,9 @@ class TestGeneratorGuard:
     @pytest.mark.parametrize("generate", ["random_cyclic_data", "random_multiplicity_data"],
                              ids=["cyclic", "multiplicity"])
     def test_assemble_refuses_broken_draw(self, monkeypatch, generate):
-        # the guard checks no law: a draw is returned as drawn, and a broken
-        # law surfaces where the bundle is assembled
+        # the guard checks no law: with every law refused, a draw is still
+        # returned as drawn, and the broken law surfaces where the bundle is
+        # assembled
         from hankel_spectra import operator_assembly, random_data
 
         make = getattr(random_data, generate)
@@ -389,10 +388,9 @@ class TestGeneratorGuard:
         def refuse(b):
             raise BundleInvariantError("bundle violates: phi1 partial isometry")
 
-        monkeypatch.setattr(random_data, "_validate_bundle", refuse, raising=False)
+        monkeypatch.setattr(operator_assembly, "_validate_bundle", refuse)
         got = make(np.random.default_rng(23), 3, max_contraction=0.97)
         assert emit_spectral_data(got) == emit_spectral_data(expected)
-        monkeypatch.setattr(operator_assembly, "_validate_bundle", refuse)
         with pytest.raises(BundleInvariantError):
             hs.assemble(got)
 

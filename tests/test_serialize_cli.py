@@ -23,13 +23,8 @@ class TestSchemas:
         assert serialize.emit_spectrum(back) == doc
         assert serialize.dumps(doc) == serialize.dumps(json.loads(serialize.dumps(doc)))
 
-    def test_measure_roundtrip_real_and_circle(self):
-        real = hs.borg_weights(hs.validate_intertwining([2.0, 1.0], [1.5, 0.5]))
-        doc = serialize.emit_measure(real)
-        assert isinstance(doc["atoms"][0]["point"], float)
-        back = serialize.parse_measure(doc)
-        assert serialize.emit_measure(back) == doc
-        circ = hs.AtomicMeasure([1j, -1j], [0.5, 0.5], circle=True, probability=True)
+    def test_measure_roundtrip(self):
+        circ = hs.AtomicMeasure([1j, -1j], [0.5, 0.5])
         doc = serialize.emit_measure(circ)
         assert doc["atoms"][0]["point"] == [0.0, 1.0]
         assert serialize.emit_measure(serialize.parse_measure(doc)) == doc
@@ -41,7 +36,7 @@ class TestSchemas:
 
     def test_spectral_data_multiplicity_roundtrip(self):
         s = hs.validate_intertwining([1.0], [0.0])
-        rho = [hs.AtomicMeasure([1j, -1j], [0.25, 0.75], circle=True, probability=True)]
+        rho = [hs.AtomicMeasure([1j, -1j], [0.25, 0.75])]
         d = hs.CompactSpectralData(s, rho, [None])
         doc = serialize.emit_spectral_data(d)
         assert serialize.emit_spectral_data(serialize.parse_spectral_data(doc)) == doc
@@ -203,8 +198,8 @@ def test_stability_refuses_singular_R(tmp_path, capsys):
 
 
 def test_weight_out_of_range_exit_3(tmp_path, capsys):
-    # lambda = 1e153 puts the Borg weight lambda^2 - mu^2 = 1e306 at log
-    # magnitude 704.6, past the 700 that still exponentiates to a normal double
+    # lambda = 1e153 lies above the scale bound 1e72, whose fourth power is
+    # the largest the pipeline forms; it is refused before anything is squared
     doc = serialize.loads((FIXTURES / "rank1_cyclic.json").read_text())
     doc["spectrum"]["lambda"] = [1e153]
     path = tmp_path / "data.json"
@@ -212,7 +207,39 @@ def test_weight_out_of_range_exit_3(tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["synthesize", "--input", str(path), "--output", str(out)]) == 3
     assert json.loads(capsys.readouterr().err) == {
-        "error": "WeightRange", "message": "weight 0 has log magnitude 704.6"}
+        "error": "WeightRange",
+        "message": "spectral data reach 1.000e+153 > SCALE_MAX = 1e+72"}
+    assert not out.exists()
+
+
+_ABSENT = object()
+
+
+@pytest.mark.parametrize("flags, rc, code", [
+    (["circle"], 3, "DegenerateMeasure"),
+    (["probability"], 3, "DegenerateMeasure"),
+    ([], 3, "DegenerateMeasure"),
+    (_ABSENT, 3, "DegenerateMeasure"),
+    ("circle probability", 2, "Schema"),
+    (["circle", "probability", "real"], 2, "Schema"),
+], ids=["circle", "probability", "empty", "absent", "string", "real"])
+@pytest.mark.parametrize("command", ["synthesize", "convert-clark"])
+def test_level_measure_flags_are_refused(tmp_path, capsys, command, flags, rc, code):
+    # every level measure is a circle probability measure: flags that do not
+    # name both are refused as a degenerate measure, malformed flags as a schema
+    data = serialize.loads((FIXTURES / "rank1_multiplicity.json").read_text())
+    measure = data["rho"][0]
+    if flags is _ABSENT:
+        del measure["flags"]
+    else:
+        measure["flags"] = flags
+    doc = data if command == "synthesize" else {
+        "schema": "measure_levels.v1", "rho": [measure], "rho1": [None]}
+    path = tmp_path / "in.json"
+    path.write_text(serialize.dumps(doc))
+    out = tmp_path / "out"
+    assert main([command, "--input", str(path), "--output", str(out)]) == rc
+    assert json.loads(capsys.readouterr().err)["error"] == code
     assert not out.exists()
 
 
