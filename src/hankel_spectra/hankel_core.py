@@ -21,7 +21,7 @@ numpy is the only numerical dependency.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -34,6 +34,7 @@ from .errors import (
 from .operator_assembly import ORBIT_BLOCK, TRUNCATION_CAP, OperatorBundle, assemble, orbit
 from .spectral_data import (
     SCALE_MAX,
+    SCALE_MIN,
     AtomicMeasure,
     CompactSpectralData,
     validate_intertwining,
@@ -57,9 +58,23 @@ SKETCH_BLOCK = 8
 # is roundoff: three decades under the zero cut and about four over the FFT
 # products' noise (1e-15 of the top value at N = 385, 5e-15 at N = 4096).
 SKETCH_NOISE_RTOL = 1e-11
-# Sketch values kept once drawn: the first two blocks at TRUNCATION_CAP,
-# 2 * (2 * TRUNCATION_CAP * SKETCH_BLOCK) doubles, 1 MB.
+# Sketch values drawn once per process, on the first range finder call: the
+# first two blocks at TRUNCATION_CAP, 2 * (2 * TRUNCATION_CAP * SKETCH_BLOCK)
+# doubles, 1 MB.
 SKETCH_STREAM_CAP = 4 * TRUNCATION_CAP * SKETCH_BLOCK
+# Weight at or below which an eigenvector of a recovered level's unitary
+# carries no atom.  Valid data never come near it.  Over the 2048
+# multiplicity trials of roundtrip_batch's 64 job seeds at workload seeds 1
+# and 2 (5430 multi-atom levels), every level kept one eigenvector per atom
+# and dropped none; the lightest kept weight read 0.14, 1.4e11 times over
+# the cut.  A light atom makes Sigma* nearly unitary: at lambda = (2, 1),
+# mu = (1.5, 0.5) an atom of weight 2e-3 certifies at N = 1664 (recovered to
+# 3e-15), one of 1e-3 at N = 3326, and one of 1e-4 at no N within
+# TRUNCATION_CAP, ten decades over _phase_block's 1e-14 floor.  The cut
+# guards an eigenvector orthogonal to u, whose weight is roundoff: at most
+# 4.7e-31 on 100 such unitaries of size 2 to 8, 2e18 times under the cut.
+# tests/test_hankel_core.py re-measures the margins.
+ATOM_WEIGHT_CUT = 1e-12
 
 
 def _fft_length(n: int) -> int:
@@ -74,57 +89,33 @@ def _fft_length(n: int) -> int:
         n += 1
 
 
-def _generator(state: dict) -> np.random.Generator:
-    """A generator resumed from a saved PCG64 ``bit_generator.state``."""
-    rng = np.random.Generator(np.random.PCG64())
-    rng.bit_generator.state = state
-    return rng
-
-
-class _SketchStream:
-    """The values ``default_rng(seed).standard_normal`` draws, in order.
-
-    Successive draws of one generator continue one stream, so every range
-    finder call reads the same values from the stream's start as a fresh
-    generator would draw.  The first ``cap`` values are kept in one
-    read-only array, which grows by publishing a new array, never by writing
-    into the old one, as :class:`~.operator_assembly.Orbit` does; values
-    past ``cap`` are drawn anew on each read from the generator state saved
-    at ``cap``.
-    """
-
-    def __init__(self, seed: int, cap: int):
-        self.cap = cap
-        head = np.empty(0)
-        head.setflags(write=False)
-        # one tuple: a thread reads an array and the state after it together
-        self.head = head, np.random.default_rng(seed).bit_generator.state
-
-    def __call__(self, start: int, stop: int) -> np.ndarray:
-        """Values ``start`` to ``stop`` of the stream."""
-        head, state = self.head
-        if len(head) < min(stop, self.cap):
-            rng = _generator(state)
-            grow = min(self.cap, max(stop, 2 * len(head))) - len(head)
-            head = np.concatenate([head, rng.standard_normal(grow)])
-            head.setflags(write=False)
-            state = rng.bit_generator.state
-            self.head = head, state
-        if stop <= len(head):
-            return head[start:stop]
-        tail = _generator(state).standard_normal(stop - len(head))
-        return np.concatenate([head[start:], tail[max(0, start - len(head)):]])
-
-
-_SKETCH = _SketchStream(RANGE_FINDER_SEED, SKETCH_STREAM_CAP)
+@cache
+def _sketch_head() -> tuple[np.ndarray, dict]:
+    """The first SKETCH_STREAM_CAP values of
+    ``default_rng(RANGE_FINDER_SEED).standard_normal``, read-only, and the
+    generator state after them.  Drawn on first use; a first-call race on
+    two threads draws the same values twice."""
+    rng = np.random.default_rng(RANGE_FINDER_SEED)
+    head = rng.standard_normal(SKETCH_STREAM_CAP)
+    head.setflags(write=False)
+    return head, rng.bit_generator.state
 
 
 def _sketch_block(N: int, start: int, width: int) -> np.ndarray:
     """Columns ``start`` to ``start + width`` of the range finder's N-row
     Gaussian sketch: the stream's next 2 N width values, the real parts
-    (N x width, row-major), then the imaginary parts."""
+    (N x width, row-major), then the imaginary parts.  Successive draws of
+    one generator continue one stream, so these are the values a fresh
+    generator would draw; past the head they continue from its saved state."""
     n = N * width
-    values = _SKETCH(2 * N * start, 2 * N * start + 2 * n)
+    lo, hi = 2 * N * start, 2 * N * (start + width)
+    head, state = _sketch_head()
+    values = head[lo:hi]
+    if hi > len(head):
+        rng = np.random.Generator(np.random.PCG64())
+        rng.bit_generator.state = state
+        tail = rng.standard_normal(hi - len(head))
+        values = np.concatenate([values, tail[max(0, lo - len(head)):]])
     return values[:n].reshape(N, width) + 1j * values[n:].reshape(N, width)
 
 
@@ -144,14 +135,17 @@ class HankelMatrix:
     @classmethod
     def from_gamma(cls, gamma, N: int) -> "HankelMatrix":
         """The truncation of order ``N`` from exactly 2N - 1 values of gamma;
-        any other count raises ValueError, never a silent pad or cut, and a
-        modulus above ``SCALE_MAX`` raises WeightRangeError."""
+        any other count raises ValueError, never a silent pad or cut.  A
+        modulus above ``SCALE_MAX``, or a nonzero symbol with
+        N max|gamma| < ``SCALE_MIN``, raises WeightRangeError."""
         gamma = np.array(gamma, dtype=complex)
         if gamma.shape != (2 * N - 1,):
             raise ValueError(f"N = {N} needs 2N - 1 = {2 * N - 1} gamma values, "
                              f"got shape {gamma.shape}")
         if (top := np.abs(gamma).max()) > SCALE_MAX:
             raise WeightRangeError(f"|gamma| reaches {top:.3e} > SCALE_MAX = {SCALE_MAX:.0e}")
+        if 0.0 < N * top < SCALE_MIN:
+            raise WeightRangeError(f"N max|gamma| = {N * top:.3e} < SCALE_MIN = {SCALE_MIN:.0e}")
         gamma.setflags(write=False)
         return cls(gamma=gamma, N=N)
 
@@ -337,8 +331,8 @@ def _top_singular_triplets(h: HankelMatrix):
     returns.  M (k x k), Q (N x k, orthonormal) and B (k x N) are returned
     whole, with the directions between the noise cut and the zero cut.  The
     sketch is block j of one fixed Gaussian stream (:func:`_sketch_block`),
-    drawn once per process and read-only, so calls on several threads draw
-    what a serial call does.
+    whose read-only head is drawn once per process, so calls on several
+    threads draw what a serial call does.
     """
     N = h.N
     Q = np.empty((N, 0), dtype=complex)
@@ -421,7 +415,7 @@ def _unitary_spectral_measure(U: np.ndarray, residuals: dict) -> AtomicMeasure:
     x, Z = np.linalg.eigh((K + K.conj().T) / 2.0)
     atoms = omega * (x - 1j) / (x + 1j)
     weights = np.abs(Z[0, :]) ** 2
-    keep = weights > 1e-12
+    keep = weights > ATOM_WEIGHT_CUT
     return AtomicMeasure(points=atoms[keep], weights=weights[keep] / weights[keep].sum())
 
 

@@ -42,6 +42,13 @@ _LOG_RANGE = 700.0
 # 1.2e306 < 1.8e308.  |gamma_k| <= ||Gamma|| = lambda_1 keeps symbols inside.
 SCALE_MAX = 1e72
 
+# Smallest lambda_1.  The lowest power formed is the squared level gap in
+# mu_weights, at least (DISTINCTNESS_RTOL * lambda_1^2)^2 = 1e-24 lambda_1^4,
+# which stays a normal double (>= 2.2e-308) for lambda_1 >= 1.2e-71.  A symbol
+# whose N x N truncation cannot reach it, N max|gamma_k| < SCALE_MIN since
+# ||Gamma|| <= ||Gamma||_F <= N max|gamma_k|, is refused before any work.
+SCALE_MIN = 1e-70
+
 
 @dataclass(frozen=True, eq=False)
 class IntertwinedSpectrum:
@@ -108,7 +115,8 @@ def validate_intertwining(lam, mu) -> IntertwinedSpectrum:
     Raises :class:`NonInterlacingError` with the 0-based index of the pair
     ``(lam_k, mu_k)`` at which the chain first fails; near-coincident values
     (relative squared gap below ``DISTINCTNESS_RTOL``) count as failures.
-    Values above ``SCALE_MAX`` raise :class:`WeightRangeError` before any is squared.
+    Values above ``SCALE_MAX``, or all below ``SCALE_MIN``, raise
+    :class:`WeightRangeError` before any is squared.
     """
     lam = np.asarray(lam, dtype=float)
     mu = np.asarray(mu, dtype=float)
@@ -126,7 +134,9 @@ def validate_intertwining(lam, mu) -> IntertwinedSpectrum:
             raise NegativeEntryError(k, f"mu[{k}] = {mu[k]} must be nonnegative")
     if (top := max(lam.max(), mu.max())) > SCALE_MAX:
         raise WeightRangeError(f"spectral data reach {top:.3e} > SCALE_MAX = {SCALE_MAX:.0e}")
-    gap = DISTINCTNESS_RTOL * max(float(lam[0]) ** 2, 1.0)
+    if top < SCALE_MIN:
+        raise WeightRangeError(f"spectral data reach only {top:.3e} < SCALE_MIN = {SCALE_MIN:.0e}")
+    gap = DISTINCTNESS_RTOL * float(lam[0]) ** 2
     for k in range(n):
         if lam[k] ** 2 - mu[k] ** 2 <= gap:
             raise NonInterlacingError(k, f"lambda[{k}] > mu[{k}] fails or is degenerate")

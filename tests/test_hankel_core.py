@@ -445,39 +445,43 @@ class TestSketchStream:
             start += width
 
     def test_windows_across_the_cap(self):
-        # a stream keeping 100 values: windows before, across and past the
-        # cap read the generator's single stream
-        stream = hs.hankel_core._SketchStream(17, 100)
-        want = np.random.default_rng(17).standard_normal(1000)
-        for start, stop in [(0, 10), (50, 150), (90, 100), (120, 300), (400, 1000), (0, 40)]:
-            assert stream(start, stop).tobytes() == want[start:stop].tobytes()
-        assert len(stream.head[0]) == 100
+        # SKETCH_STREAM_CAP = 2 * 4096 * 16 values, so at N = 4096 the head
+        # ends after column 16, and at N = 1000 inside column 65: windows
+        # before, across and past it read the generator's single stream
+        assert hs.hankel_core.SKETCH_STREAM_CAP == 2 * 4096 * 16
+        for N, windows in [(4096, [(0, 8), (8, 8), (0, 16), (8, 16), (16, 8), (24, 40), (0, 1)]),
+                           (1000, [(60, 8), (64, 4), (65, 3), (66, 2), (70, 30)])]:
+            want = np.random.default_rng(17).standard_normal(2 * N * 100)
+            for start, width in windows:
+                lo, n = 2 * N * start, N * width
+                got = hs.hankel_core._sketch_block(N, start, width)
+                assert got.real.tobytes() == want[lo:lo + n].tobytes()
+                assert got.imag.tobytes() == want[lo + n:lo + 2 * n].tobytes()
 
     def test_retained_values_stay_bounded(self):
-        # rank 17 at N = 4096 draws 8, 8 and 16 columns, twice the retained
-        # values; the rest are drawn anew, and 1 MB stays
+        # rank 17 at N = 4096 draws 8, 8 and 16 columns, twice the head; the
+        # rest are drawn anew, and the head holds 1 MB
         N = 4096
         h = hs.HankelMatrix.from_gamma(_rational_symbol(np.random.default_rng(17), N, 17), N)
         assert len(hs.hankel_core._top_singular_triplets(h)[0]) == 17
-        head, _ = hs.hankel_core._SKETCH.head
-        assert len(head) <= hs.hankel_core.SKETCH_STREAM_CAP
-        assert head.nbytes <= 2 ** 20
+        head, _ = hs.hankel_core._sketch_head()
+        assert len(head) == hs.hankel_core.SKETCH_STREAM_CAP
+        assert head.nbytes == 2 ** 20
         assert not head.flags.writeable
 
-    def test_threads_draw_what_a_serial_call_draws(self, monkeypatch):
-        # four threads on two cores race to grow a fresh stream from empty;
-        # each result must match a serial call byte for byte
+    def test_threads_draw_what_a_serial_call_draws(self):
+        # four threads on two cores race to draw a fresh head; each result
+        # must match a serial call byte for byte
         sizes = (385, 700, 1024, 2048)
         mats = [hs.HankelMatrix.from_gamma(_rational_symbol(np.random.default_rng(N), N, 9), N)
                 for N in sizes]
-        serial = [hs.hankel_core._top_singular_triplets(h) for h in mats]
+        core = hs.hankel_core
+        serial = [core._top_singular_triplets(h) for h in mats]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             for _ in range(3):
-                core = hs.hankel_core
-                monkeypatch.setattr(core, "_SKETCH",
-                                    core._SketchStream(core.RANGE_FINDER_SEED, core.SKETCH_STREAM_CAP))
+                core._sketch_head.cache_clear()
                 with ThreadPoolExecutor(len(mats)) as pool:
                     futures = [pool.submit(core._top_singular_triplets, h) for h in mats]
                     threaded = [f.result(timeout=120) for f in futures]
@@ -817,6 +821,75 @@ class TestLevelMeasureKernels:
             oracle = basis @ scipy.linalg.null_space(
                 (basis.conj().T @ u_proj).conj()[None, :])
             assert np.abs(Y @ Y.conj().T - oracle @ oracle.conj().T).max() <= 1e-14
+
+
+class TestAtomWeightCut:
+    """ATOM_WEIGHT_CUT's margins: the weights of a valid level's atoms lie
+    far above it, and the roundoff weight of an eigenvector orthogonal to u
+    far below it."""
+
+    @staticmethod
+    def _light_atom_data(weight, m):
+        # one level of m atoms, one of them of the given weight; lighter
+        # atoms make Sigma* nearly unitary, and at 1e-3 no truncation within
+        # TRUNCATION_CAP certifies
+        s = hs.validate_intertwining([2.0, 1.0], [1.5, 0.5])
+        w = np.full(m, (1.0 - weight) / (m - 1))
+        w[0] = weight
+        rho = [hs.AtomicMeasure(np.exp(1j * (2.0 * np.pi * np.arange(m) / m + 0.3)), w),
+               hs.AtomicMeasure.point_mass(1j)]
+        return hs.CompactSpectralData(s, rho, [hs.AtomicMeasure.point_mass(-1.0)] * 2)
+
+    def test_valid_levels_keep_every_atom(self, monkeypatch):
+        # with no cut, each recovered multi-atom level has one eigenvector
+        # per atom of its data, every one weighing far above the cut; the
+        # trials of the first 8 multiplicity job seeds of roundtrip_batch at
+        # workload seed 1, and two levels with an atom of weight 2e-3
+        from hankel_spectra.cli import _trial_data
+
+        monkeypatch.setattr(hs.hankel_core, "ATOM_WEIGHT_CUT", 0.0)
+        job = serialize.parse_roundtrip_job({"schema": "roundtrip_job.v1",
+                                             "mode": "multiplicity", "trials": 16})
+        draws = [_trial_data(job, s)
+                 for seed in np.random.SeedSequence(1).generate_state(64)[:8]
+                 for s in np.random.SeedSequence(int(seed)).spawn(job["trials"])]
+        draws += [self._light_atom_data(2e-3, m) for m in (2, 3)]
+        kept, levels = 1.0, 0
+        for d in draws:
+            got = hs.forward_extract(hs.hankel_from_data(d)).data
+            for want, m in zip(d.rho + d.rho1, got.rho + got.rho1):
+                if want is not None and len(want.weights) > 1:
+                    assert len(m.weights) == len(want.weights)
+                    kept = min(kept, float(m.weights.min()))
+                    levels += 1
+        print(f"\n{levels} multi-atom levels, smallest atom weight {kept:.3e}")
+        assert levels > 100
+        assert kept > 1e8 * hs.hankel_core.ATOM_WEIGHT_CUT
+
+    def test_an_eigenvector_orthogonal_to_u_is_dropped(self, monkeypatch):
+        # U's second eigenvector has no e_0 component: its weight is
+        # roundoff, and the measure keeps the other d - 1 atoms
+        core = hs.hankel_core
+        cut = core.ATOM_WEIGHT_CUT
+        rng = np.random.default_rng(37)
+        dropped = 0.0
+        for d in [2, 3, 4, 5, 8] * 20:
+            V = haar_unitary(rng, d)
+            a, b = V[0, 0], V[0, 1]
+            r = np.hypot(abs(a), abs(b))
+            V[:, :2] = V[:, :2] @ np.array([[np.conj(a), -b], [np.conj(b), a]]) / r
+            z = np.exp(2j * np.pi * (np.arange(d) + rng.uniform(0.2, 0.8, d)) / d)
+            U = (V * z) @ V.conj().T
+            weights = np.abs(V[0]) ** 2
+            want = hs.AtomicMeasure(np.delete(z, 1), np.delete(weights, 1) / (1.0 - weights[1]))
+            assert atoms_difference(_unitary_spectral_measure(U, {}), want) <= 1e-12
+            monkeypatch.setattr(core, "ATOM_WEIGHT_CUT", 0.0)
+            uncut = _unitary_spectral_measure(U, {}).weights    # an exact zero stays out
+            monkeypatch.setattr(core, "ATOM_WEIGHT_CUT", cut)
+            if len(uncut) == d:
+                dropped = max(dropped, float(uncut.min()))
+        print(f"\nlargest roundoff weight {dropped:.3e}")
+        assert dropped < 1e-6 * cut
 
 
 class TestIsometrySurrogate:
