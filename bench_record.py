@@ -2,15 +2,19 @@
 
     python3 bench_record.py --parent HEAD~1 --pr <number> --seeds 201 202 203 204 205
 
-For every workload and seed, ``python3 perfbench/run.py --workload W --seed S
---seconds T`` runs once in a checkout of the parent (``git archive <parent> |
-tar -x`` into a temporary directory) and once in this working tree; the side
+For every workload of ``BENCHMARK.json`` and every seed, ``python3
+perfbench/run.py --workload W --seed S --seconds T``, with T the benchmark's
+``run_seconds``, runs once in a checkout of the parent (``git archive <parent>
+| tar -x`` into a temporary directory) and once in this working tree; the side
 that runs first alternates from one pair to the next.  The result goes to
 ``BENCH_<pr>.json``: every run, and per workload and end-to-end metric the
 median and quartiles of each side, the per-pair ratios (tree / parent) with
-their median and quartiles, and the number of pairs the tree wins.  It also
-records the seeds, both commit ids and the machine.  The benchmark itself
-(its checks, bounds, workloads and seeds) is read, never changed.
+their median and quartiles, and the number of pairs the tree wins.  A pair
+where either run exited non-zero, read ``correct: false`` or failed an
+operation is left out of these statistics and listed under ``excluded``, and
+the script then exits 1.  It also records the seeds, both commit ids and the
+machine.  The benchmark itself (its checks, bounds, workloads, run length and
+seeds) is read, never changed.
 """
 
 from __future__ import annotations
@@ -47,6 +51,21 @@ def summarize(parent, tree, better: str) -> dict:
             "parent": {"runs": list(parent)} | quartiles(parent),
             "tree": {"runs": list(tree)} | quartiles(tree),
             "ratio": {"runs": ratios} | quartiles(ratios)}
+
+
+def usable(run: dict) -> bool:
+    """A run that exited 0, read correct and failed no operation."""
+    return "metrics" in run and run.get("correct") is True and run.get("failed") == 0
+
+
+def workload_record(runs: list, better: dict) -> dict:
+    """Every pair of one workload, the seeds of the pairs left out because a
+    side is not :func:`usable`, and each metric summarized over the rest."""
+    ok = [r for r in runs if all(usable(r[side]) for side in SIDES)]
+    return {"runs": runs, "excluded": [r["seed"] for r in runs if r not in ok],
+            "metrics": {name: summarize([r["parent"]["metrics"][name] for r in ok],
+                                        [r["tree"]["metrics"][name] for r in ok], how)
+                        for name, how in better.items()} if ok else {}}
 
 
 def side_order(pair: int) -> tuple:
@@ -88,39 +107,36 @@ def main(argv=None) -> int:
     parser.add_argument("--parent", required=True, help="commit to compare against")
     parser.add_argument("--pr", required=True, type=int, help="number in BENCH_<pr>.json")
     parser.add_argument("--seeds", required=True, type=int, nargs="+")
-    parser.add_argument("--seconds", type=int, default=bench["run_seconds"])
-    parser.add_argument("--workloads", nargs="+",
-                        default=[w["name"] for w in bench["workloads"]])
     args = parser.parse_args(argv)
+    seconds = bench["run_seconds"]
     better = {m["name"]: m["better"] for m in bench["end_to_end"]}
     record = {"parent": _git("rev-parse", args.parent), "tree": _git("rev-parse", "HEAD"),
               "tree_dirty": bool(_git("status", "--porcelain")), "seeds": args.seeds,
-              "seconds": args.seconds, "machine": machine(), "workloads": {}}
+              "seconds": seconds, "machine": machine(), "workloads": {}}
 
     with tempfile.TemporaryDirectory(prefix="bench-parent-") as tmp:
         archive = subprocess.run(["git", "archive", record["parent"]], cwd=ROOT, check=True,
                                  capture_output=True).stdout
         subprocess.run(["tar", "-x", "-C", tmp], input=archive, check=True)
         roots = {"parent": Path(tmp), "tree": ROOT}
-        for workload in args.workloads:
+        for workload in (w["name"] for w in bench["workloads"]):
             runs = []
             for pair, seed in enumerate(args.seeds):
                 run = {"seed": seed, "first": side_order(pair)[0]}
                 for side in side_order(pair):
-                    run[side] = run_once(roots[side], workload, seed, args.seconds)
+                    run[side] = run_once(roots[side], workload, seed, seconds)
                     print(f"{workload} seed {seed} {side}: {json.dumps(run[side])}", flush=True)
                 runs.append(run)
-            ok = [r for r in runs if all("metrics" in r[s] for s in SIDES)]
-            record["workloads"][workload] = {
-                "runs": runs,
-                "metrics": {name: summarize([r["parent"]["metrics"][name] for r in ok],
-                                            [r["tree"]["metrics"][name] for r in ok], how)
-                            for name, how in better.items()} if ok else {},
-            }
+            record["workloads"][workload] = workload_record(runs, better)
 
     out = ROOT / f"BENCH_{args.pr}.json"
     out.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
     print(f"wrote {out.name}")
+    excluded = {w: r["excluded"] for w, r in record["workloads"].items() if r["excluded"]}
+    if excluded:
+        print(f"pairs left out (a run failed, was incorrect or failed ops): {excluded}",
+              file=sys.stderr)
+        return 1
     return 0
 
 

@@ -192,7 +192,7 @@ def gamma_sequence(b: OperatorBundle, K: int) -> np.ndarray:
     """Symbol coefficients gamma_k = <q, (Sigma*)^k p>, k = 0..K, read off the
     bundle's orbit of Sigma*.  On a checked bundle the law "Jp intertwines
     Sigma* and Sigma-hat*" holds the conjugated form <(Sigma-hat*)^k p, q-hat>
-    within about 1e-10 max(1, ||p|| ||q||) of these for every
+    within about 1e-10 ||p|| ||q|| of these for every
     K <= 2 TRUNCATION_CAP - 2, where ||p|| ||q|| bounds every |gamma_k|."""
     if K < 0:
         raise ValueError("K must be nonnegative")

@@ -136,7 +136,7 @@ class OperatorBundle:
     @cached_property
     def r_half(self) -> np.ndarray:
         """``R^{1/2}``, read by ``A`` and by the stability report."""
-        return _frozen(_psd_sqrt(np.linalg.eigh(self.R), self.r_norm ** 2))
+        return _frozen(_psd_sqrt(np.linalg.eigh(self.R), self.r_norm))
 
     @cached_property
     def r1_eigh(self):
@@ -174,7 +174,7 @@ class OperatorBundle:
         A is a contraction intertwined with Sigma* through R^{1/2}:
         ``Sigma* R^{1/2} = R^{1/2} A``.
         """
-        Q = _psd_sqrt(self.r1_eigh, self.r_norm ** 2) @ np.linalg.inv(self.r_half)
+        Q = _psd_sqrt(self.r1_eigh, self.r_norm) @ np.linalg.inv(self.r_half)
         return _frozen(Q.conj().T @ self.phi1 @ Q @ self.phi.conj().T)
 
 
@@ -246,10 +246,11 @@ def _psd_sqrt(eig, scale: float) -> np.ndarray:
     """The square root of a Hermitian PSD matrix from its ``eigh`` pair.
 
     Eigenvalues in ``(-CLAMP_RTOL * scale, 0)`` are clamped to zero; anything
-    further below raises, since the matrix was supposed to be PSD.
+    further below raises, since the matrix was supposed to be PSD.  ``scale``
+    is the matrix's norm, so the clamp is relative as the law bounds are.
     """
     evals, vecs = eig
-    floor = -CLAMP_RTOL * max(scale, 1.0)
+    floor = -CLAMP_RTOL * scale
     if np.any(evals < floor):
         raise SquareRootFailureError(
             f"eigenvalue {evals.min():.3e} below the PSD clamp {floor:.3e}")
@@ -299,16 +300,16 @@ def bundle_residuals(b: OperatorBundle) -> dict:
     ``X = Sigma-hat* C - C conj(Sigma*)``, <q, (Sigma*)^k p> and
     <(Sigma-hat*)^k p, q-hat> differ by at most k ||X|| ||p|| ||q|| plus the
     "Jp fixes p" and "Jp unitary" residuals.  Its bound holds that term to
-    1e-10 max(1, ||p|| ||q||) up to k = 2 TRUNCATION_CAP - 2, where
-    ||p|| ||q|| bounds every |gamma_k| since Sigma* is a contraction.  Scaling
-    the spectrum changes neither the residual nor, once ||p|| ||q|| >= 1, the
-    bound (README, Numerical conventions).
+    1e-10 ||p|| ||q|| up to k = 2 TRUNCATION_CAP - 2, where ||p|| ||q||
+    bounds every |gamma_k| since Sigma* is a contraction.  Every bound is
+    relative: scaling the spectrum by s multiplies R, R1 and p by s and leaves
+    Sigma*, phi, phi1 and C as they are, so it scales each residual and its
+    bound alike (README, Numerical conventions).
     """
     r2 = b.r_norm**2
     eye = np.eye(b.dim)
     C = b.Jp
     commute = COMMUTE_RTOL * b.r_norm * b.dim
-    pq = float(np.linalg.norm(b.p) * np.linalg.norm(b.q))  # bounds every |gamma_k|
 
     def norm(M) -> float:
         return float(np.linalg.norm(M))
@@ -345,7 +346,7 @@ def bundle_residuals(b: OperatorBundle) -> dict:
                                  - np.outer(b.q, b.q.conj())), DEFECT_TOL),
         "Jp involutive": (norm(C @ np.conj(C) - eye), CONJUGATION_TOL),
         "Jp fixes p": (norm(b.conjugate(b.p) - b.p),
-                       CONJUGATION_TOL * max(1.0, norm(b.p))),
+                       CONJUGATION_TOL * norm(b.p)),
         "phi Jp-symmetric": (jsym(b.phi), 1e-9 * b.dim),
         "phi1 Jp-symmetric": (jsym(b.phi1), 1e-9 * b.dim),
         "phi1 partial isometry": (norm(isometry), 1e-9),
@@ -354,7 +355,7 @@ def bundle_residuals(b: OperatorBundle) -> dict:
         "Jp commutes with R1": (norm(C @ np.conj(b.R1) - b.R1 @ C), commute),
         "Jp intertwines Sigma* and Sigma-hat*": (
             norm(b.sigma_hat_star @ C - C @ np.conj(b.sigma_star)),
-            1e-10 * max(1.0, pq) / ((2 * TRUNCATION_CAP - 2) * pq)),
+            1e-10 / (2 * TRUNCATION_CAP - 2)),
     }
 
 

@@ -40,3 +40,39 @@ def test_unpaired_runs_are_refused():
 def test_sides_alternate():
     assert [bench_record.side_order(k)[0] for k in range(4)] == ["parent", "tree"] * 2
     assert all(sorted(bench_record.side_order(k)) == ["parent", "tree"] for k in range(4))
+
+
+def _side(value, **fields):
+    return {"attempted": 10, "correct": True, "failed": 0, "metrics": {"op_s_p50": value}} | fields
+
+
+def test_pairs_with_a_failed_incorrect_or_missing_run_are_excluded():
+    runs = [{"seed": 1, "parent": _side(2.0), "tree": _side(1.0)},
+            {"seed": 2, "parent": {"exit": 1, "stderr": "boom"}, "tree": _side(0.5)},
+            {"seed": 3, "parent": _side(2.0), "tree": _side(0.5, correct=False)},
+            {"seed": 4, "parent": _side(2.0, failed=1), "tree": _side(0.5)},
+            {"seed": 5, "parent": _side(4.0), "tree": _side(3.0)}]
+    w = bench_record.workload_record(runs, {"op_s_p50": "lower"})
+    assert w["runs"] == runs
+    assert w["excluded"] == [2, 3, 4]
+    s = w["metrics"]["op_s_p50"]
+    assert (s["pairs"], s["wins"]) == (2, 2)
+    assert s["parent"]["runs"] == [2.0, 4.0] and s["tree"]["runs"] == [1.0, 3.0]
+
+
+def test_no_usable_pair_leaves_no_summary():
+    runs = [{"seed": 1, "parent": {"exit": 2, "stderr": ""}, "tree": _side(1.0)}]
+    assert bench_record.workload_record(runs, {"op_s_p50": "lower"}) == {
+        "runs": runs, "excluded": [1], "metrics": {}}
+
+
+def test_run_length_and_workloads_come_from_the_benchmark(monkeypatch):
+    def no_run(*args):
+        raise AssertionError("the options were accepted")
+
+    monkeypatch.setattr(bench_record, "_git", no_run)
+    with pytest.raises(SystemExit):
+        bench_record.main(["--parent", "HEAD", "--pr", "0", "--seeds", "1", "--seconds", "5"])
+    with pytest.raises(SystemExit):
+        bench_record.main(["--parent", "HEAD", "--pr", "0", "--seeds", "1",
+                           "--workloads", "large_truncation"])

@@ -9,6 +9,7 @@ back 10^k lambda, 10^k mu, 10^(2k) w, 10^(2k) w1 and the same measures.
 """
 
 import json
+import re
 import sys
 import warnings
 from pathlib import Path
@@ -18,8 +19,15 @@ import pytest
 
 from hankel_spectra import serialize
 from hankel_spectra.cli import main
+from hankel_spectra.errors import BundleInvariantError
 from hankel_spectra.hankel_core import forward_extract
-from hankel_spectra.operator_assembly import TRUNCATION_CAP
+from hankel_spectra.operator_assembly import (
+    TRUNCATION_CAP,
+    _from_operators,
+    assemble,
+    assemble_from_operators,
+    bundle_residuals,
+)
 from hankel_spectra.roundtrip import atoms_difference
 from hankel_spectra.spectral_data import DISTINCTNESS_RTOL, SCALE_MAX, SCALE_MIN
 
@@ -185,3 +193,31 @@ def test_a_tiny_symbol_is_refused_before_any_work(tmp_path, capsys):
                                      "gamma": [[1e-200, 0.0]] * 5}))
     rc, err = _run(capsys, "analyze", "--input", str(path), "--output", str(tmp_path / "out"))
     assert rc == 3 and json.loads(err)["error"] == "WeightRange"
+
+
+@pytest.mark.parametrize("k", [0, -40, -70])
+@pytest.mark.parametrize("law", ["Jp fixes p", "Jp intertwines Sigma* and Sigma-hat*"])
+def test_broken_bundles_are_refused_at_every_scale(k, law):
+    # rank2_cyclic scaled by 10^k with one law broken: p turned by a phase
+    # of 0.1 rad, which keeps p p* and so every other row, or C times a
+    # unitary 1e-13 from the identity, which misses the intertwining row's
+    # 1e-10 / (2 TRUNCATION_CAP - 2) by a factor of 11 and keeps the
+    # 1e-12-scale rows of C within a third of their bounds.  Every bound is
+    # relative, so the refusal does not depend on k.
+    doc = serialize.loads((FIXTURES / "rank2_cyclic.json").read_text())
+    for key in ("lambda", "mu"):
+        doc["spectrum"][key] = [v * 10.0 ** k for v in doc["spectrum"][key]]
+    b = assemble(serialize.parse_spectral_data(doc))
+    ops = {"R": b.R, "R1": b.R1, "p": b.p, "phi": b.phi, "phi1": b.phi1, "C": b.Jp,
+           "layout": b.layout}
+    if law == "Jp fixes p":
+        ops["p"] = np.exp(0.1j) * b.p
+    else:
+        rng = np.random.default_rng(0)
+        G = rng.standard_normal((b.dim, b.dim)) + 1j * rng.standard_normal((b.dim, b.dim))
+        g, V = np.linalg.eigh(G + G.conj().T)
+        ops["C"] = b.Jp @ (V * np.exp(1e-13j * g)) @ V.conj().T
+    rows = bundle_residuals(_from_operators(**ops))
+    assert [name for name, (r, bound) in rows.items() if not r <= bound] == [law]
+    with pytest.raises(BundleInvariantError, match=re.escape(law)):
+        assemble_from_operators(**ops)
