@@ -1,12 +1,14 @@
-"""Before/after benchmark pairs: a parent commit against this working tree.
+"""Before/after benchmark pairs: a parent commit against HEAD.
 
     python3 bench_record.py --parent HEAD~1 --pr <number> --seeds 201 202 203 204 205
 
 For every workload of ``BENCHMARK.json`` and every seed, ``python3
 perfbench/run.py --workload W --seed S --seconds T``, with T the benchmark's
-``run_seconds``, runs once in a checkout of the parent (``git archive <parent>
-| tar -x`` into a temporary directory) and once in this working tree; the side
-that runs first alternates from one pair to the next.  The result goes to
+``run_seconds``, runs once in a checkout of the parent and once in a checkout
+of HEAD (the "tree"), each made by ``git archive <commit> | tar -x`` into a
+temporary directory, so both sides run committed files from fresh
+directories and uncommitted changes are not measured.  The side that runs
+first alternates from one pair to the next.  The result goes to
 ``BENCH_<pr>.json``: every run, and per workload and end-to-end metric the
 median and quartiles of each side, the per-pair ratios (tree / parent) with
 their median and quartiles, and the number of pairs the tree wins.  A pair
@@ -111,14 +113,15 @@ def main(argv=None) -> int:
     seconds = bench["run_seconds"]
     better = {m["name"]: m["better"] for m in bench["end_to_end"]}
     record = {"parent": _git("rev-parse", args.parent), "tree": _git("rev-parse", "HEAD"),
-              "tree_dirty": bool(_git("status", "--porcelain")), "seeds": args.seeds,
-              "seconds": seconds, "machine": machine(), "workloads": {}}
+              "seeds": args.seeds, "seconds": seconds, "machine": machine(), "workloads": {}}
 
-    with tempfile.TemporaryDirectory(prefix="bench-parent-") as tmp:
-        archive = subprocess.run(["git", "archive", record["parent"]], cwd=ROOT, check=True,
-                                 capture_output=True).stdout
-        subprocess.run(["tar", "-x", "-C", tmp], input=archive, check=True)
-        roots = {"parent": Path(tmp), "tree": ROOT}
+    with tempfile.TemporaryDirectory(prefix="bench-record-") as tmp:
+        roots = {side: Path(tmp) / side for side in SIDES}
+        for side, root in roots.items():
+            root.mkdir()
+            archive = subprocess.run(["git", "archive", record[side]], cwd=ROOT, check=True,
+                                     capture_output=True).stdout
+            subprocess.run(["tar", "-x", "-C", str(root)], input=archive, check=True)
         for workload in (w["name"] for w in bench["workloads"]):
             runs = []
             for pair, seed in enumerate(args.seeds):
