@@ -90,10 +90,10 @@ def _git(*args) -> str:
                           text=True).stdout.strip()
 
 
-def run_once(root: Path, workload: str, seed: int, seconds: int) -> dict:
+def run_once(root: Path, workload: str, seed: int, seconds: int, trace: int = 0) -> dict:
     """The result line of one benchmark run in ``root``."""
     proc = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload,
-                           "--seed", str(seed), "--seconds", str(seconds)],
+                           "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)],
                           cwd=root, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
@@ -101,6 +101,16 @@ def run_once(root: Path, workload: str, seed: int, seconds: int) -> dict:
     result = json.loads(lines[-1])
     result["metrics"] = {k: v["value"] for k, v in result["metrics"].items()}
     return result
+
+
+def layer_self_times(run: dict) -> dict:
+    """The ops a traced run attempted and each layer's ``self_s_total``."""
+    if "metrics" not in run:
+        return run
+    suffix = ".self_s_total"
+    return {"attempted": run["attempted"],
+            "self_s_total": {name.removesuffix(suffix): value
+                             for name, value in run["metrics"].items() if name.endswith(suffix)}}
 
 
 def main(argv=None) -> int:
@@ -131,6 +141,10 @@ def main(argv=None) -> int:
                     print(f"{workload} seed {seed} {side}: {json.dumps(run[side])}", flush=True)
                 runs.append(run)
             record["workloads"][workload] = workload_record(runs, better)
+            record["workloads"][workload]["layers"] = {
+                side: layer_self_times(run_once(roots[side], workload, args.seeds[0], seconds,
+                                                trace=1))
+                for side in SIDES}
 
     out = ROOT / f"BENCH_{args.pr}.json"
     out.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
@@ -139,8 +153,11 @@ def main(argv=None) -> int:
     if excluded:
         print(f"pairs left out (a run failed, was incorrect or failed ops): {excluded}",
               file=sys.stderr)
-        return 1
-    return 0
+    untraced = [w for w, r in record["workloads"].items()
+                if any("self_s_total" not in layers for layers in r["layers"].values())]
+    if untraced:
+        print(f"traced runs failed: {untraced}", file=sys.stderr)
+    return 1 if excluded or untraced else 0
 
 
 if __name__ == "__main__":

@@ -30,6 +30,7 @@ from .operator_assembly import TRUNCATION_CAP, assemble
 from .random_data import random_cyclic_data, random_multiplicity_data
 from .roundtrip import run_roundtrip_trial
 from .stability import stability_report
+from .workers import map_trials
 
 
 def _number(kind, value):
@@ -128,18 +129,19 @@ def _cmd_roundtrip(cfg: JobConfig) -> int:
     if doc.get("schema") == "roundtrip_job.v1":
         # checked before the first trial: a trial's refusal is reported, a bad job exits 2
         job = serialize.parse_roundtrip_job(doc)
-        results = []
-        for i, seed_seq in enumerate(np.random.SeedSequence(cfg.seed).spawn(job["trials"])):
+        seeds = np.random.SeedSequence(cfg.seed).spawn(job["trials"])
+
+        def run_trial(i):
             try:
-                errs = trial(_trial_data(job, seed_seq))
+                return trial(_trial_data(job, seeds[i]))
             except HankelSpectraError as exc:
-                errs = dict.fromkeys(keys, float("inf")) | {"N": None, "error": exc}
-            errs["trial"] = i
-            results.append(errs)
+                return dict.fromkeys(keys, float("inf")) | {"N": None, "error": exc}
+
+        count = job["trials"]
     else:
-        errs = trial(serialize.parse_spectral_data(doc))
-        errs["trial"] = 0
-        results = [errs]
+        data = serialize.parse_spectral_data(doc)
+        run_trial, count = (lambda i: trial(data)), 1
+    results = [errs | {"trial": i} for i, errs in enumerate(map_trials(run_trial, count))]
     summary = {k: max(r[k] for r in results) for k in keys}
     report = {
         "schema": "roundtrip_report.v1",

@@ -4,9 +4,16 @@ Every exception carries a stable ``code`` string; the CLI emits it in
 structured error reports so shell pipelines can branch on the failure class.
 """
 
+import copyreg
+
 
 class HankelSpectraError(Exception):
     code = "Internal"
+
+    def __reduce__(self):
+        # rebuilt by __new__ from the message, since a subclass's __init__ may
+        # take other arguments; its attributes, such as index, come back too
+        return copyreg.__newobj__, (type(self), *self.args), self.__dict__
 
 
 class EmptyInputError(HankelSpectraError):

@@ -1,6 +1,8 @@
 """The statistics of ``bench_record.py`` on fixed numbers."""
 
+import json
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -76,3 +78,43 @@ def test_run_length_and_workloads_come_from_the_benchmark(monkeypatch):
     with pytest.raises(SystemExit):
         bench_record.main(["--parent", "HEAD", "--pr", "0", "--seeds", "1",
                            "--workloads", "large_truncation"])
+
+
+def test_layer_self_times_of_a_traced_run():
+    run = {"attempted": 12, "correct": True, "failed": 0,
+           "metrics": {"cli.roundtrip.concurrency": 0.5, "serialize.dumps.calls": 24,
+                       "serialize.dumps.self_s_total": 0.25,
+                       "roundtrip.run_roundtrip_trial.self_s_total": 1.5}}
+    assert bench_record.layer_self_times(run) == {
+        "attempted": 12, "self_s_total": {"serialize.dumps": 0.25,
+                                          "roundtrip.run_roundtrip_trial": 1.5}}
+    failed = {"exit": 1, "stderr": "boom"}
+    assert bench_record.layer_self_times(failed) == failed
+
+
+def test_each_workload_gets_one_traced_run_per_side(tmp_path, monkeypatch):
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps({
+        "run_seconds": 7, "workloads": [{"name": "a"}, {"name": "b"}],
+        "end_to_end": [{"name": "ops_per_s", "better": "higher"}]}))
+    calls = []
+
+    def run_once(root, workload, seed, seconds, trace=0):
+        calls.append((root.name, workload, seed, seconds, trace))
+        metrics = ({"x.self_s_total": 0.5, "x.calls": 3} if trace
+                   else {"ops_per_s": 2.0 if root.name == "tree" else 1.0})
+        return {"attempted": 4, "correct": True, "failed": 0, "metrics": metrics}
+
+    monkeypatch.setattr(bench_record, "ROOT", tmp_path)
+    monkeypatch.setattr(bench_record, "_git", lambda *args: "0" * 40)
+    monkeypatch.setattr(bench_record, "run_once", run_once)
+    monkeypatch.setattr(bench_record.subprocess, "run",
+                        lambda *args, **kwargs: types.SimpleNamespace(stdout=b""))
+    monkeypatch.setattr(bench_record, "machine", dict)
+    assert bench_record.main(["--parent", "HEAD", "--pr", "0", "--seeds", "5", "6"]) == 0
+    traced = [c for c in calls if c[4]]
+    assert sorted(traced) == [(side, w, 5, 7, 1) for side in ("parent", "tree") for w in "ab"]
+    record = json.loads((tmp_path / "BENCH_0.json").read_text())
+    for w in "ab":
+        assert record["workloads"][w]["metrics"]["ops_per_s"]["wins"] == 2
+        assert record["workloads"][w]["layers"] == {
+            side: {"attempted": 4, "self_s_total": {"x": 0.5}} for side in ("parent", "tree")}

@@ -10,6 +10,8 @@ script; that check reads files only.  A ``:func:``, ``:class:`` or
 
 import ast
 import importlib
+import inspect
+import pickle
 import re
 from operator import attrgetter
 from pathlib import Path
@@ -47,6 +49,18 @@ def test_error_class_has_a_raiser(cls):
     raiser = re.compile(rf"\braise {cls.__name__}\b")
     sources = [p for p in (ROOT / "src" / "hankel_spectra").glob("*.py") if p != ERRORS]
     assert any(raiser.search(p.read_text()) for p in sources), f"nothing raises {cls.__name__}"
+
+
+@pytest.mark.parametrize("cls", ERROR_CLASSES, ids=lambda cls: cls.__name__)
+def test_error_keeps_code_message_and_index_through_pickle(cls):
+    # a roundtrip trial's error crosses from a forked worker by pickle
+    indexed = "index" in inspect.signature(cls.__init__).parameters
+    made = [cls(3, "gap 1e-20 at index 3"), cls(3)] if indexed else [cls("gap 1e-20")]
+    for exc in made:
+        back = pickle.loads(pickle.dumps(exc))
+        assert type(back) is cls
+        assert (back.code, str(back), getattr(back, "index", None)) == (
+            exc.code, str(exc), 3 if indexed else None)
 
 
 # Outside the exit-code table, a CamelCase name in backticks in the README
