@@ -53,10 +53,6 @@ class BlaschkeProduct:
         object.__setattr__(self, "constant", c)
 
     @property
-    def degree(self) -> int:
-        return len(self.zeros)
-
-    @property
     def vanishes_at_origin(self) -> bool:
         return bool(np.any(np.abs(self.zeros) <= ORIGIN_TOL))
 

@@ -76,7 +76,11 @@ class JobConfig:
 
 
 def _read_doc(path: Path) -> dict:
-    return serialize.loads(path.read_text())
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"input is not UTF-8 text: {exc}") from exc
+    return serialize.loads(text)
 
 
 def _write(path: Path, text: str):

@@ -1,20 +1,21 @@
 """JSON document schemas and their parsers.
 
-Complex numbers are always two-element [re, im] arrays; angles are never
-used.  Emission is canonical: :func:`dumps` writes the bytes of
-``json.dumps(doc, indent=2, sort_keys=True) + "\n"``, so identical inputs
-produce byte-identical documents, and ``parse(emit(x))`` is the identity on
-every emitted document.  Every parser reads numbers by one rule: a finite
-JSON int or float, never a bool or a string.
+Complex numbers are always written as two-element [re, im] arrays, and
+angles are never used; a parser still reads a bare real as a complex number
+with zero imaginary part.  Emission is canonical: :func:`dumps` writes the
+bytes of ``json.dumps(doc, indent=2, sort_keys=True) + "\n"`` for the
+package's documents, whose keys are all strings, so identical inputs produce
+byte-identical documents, and ``parse(emit(x))`` is the identity on every
+emitted document.  Every parser reads numbers by one rule: a finite JSON int
+or float, never a bool or a string.
 """
 
 from __future__ import annotations
 
-import functools
 import json
 import math
-import re
 from itertools import chain
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -87,14 +88,14 @@ def _bulk_floats(values) -> np.ndarray | None:
     return a if np.isfinite(a).all() else None
 
 
-def _require_list(values, what: str):
+def _require_list(values, what: str) -> list:
     if not isinstance(values, list):
         raise SchemaError(f"{what}: expected a list")
+    return values
 
 
 def _parse_fvec(values, what: str) -> np.ndarray:
-    _require_list(values, what)
-    a = _bulk_floats(values)
+    a = _bulk_floats(_require_list(values, what))
     return a if a is not None else np.array([_parse_real(v, what) for v in values], dtype=float)
 
 
@@ -104,8 +105,7 @@ def _is_pairs(values) -> bool:
 
 
 def _parse_cvec(values, what: str) -> np.ndarray:
-    _require_list(values, what)
-    pairs = _is_pairs(values)
+    pairs = _is_pairs(_require_list(values, what))
     a = _bulk_floats(list(chain.from_iterable(values)) if pairs else values)
     if a is not None:
         return a.view(complex) if pairs else a.astype(complex)
@@ -125,6 +125,15 @@ def _require(doc: dict, key: str, schema: str):
     return doc[key]
 
 
+def _parse_levels(doc: dict, schema: str, keys: tuple, parse) -> tuple:
+    """The lambda-side and mu-side per-level lists of ``doc`` under ``keys``,
+    each entry read by ``parse``; only the mu side may hold null, at a
+    terminal zero."""
+    lam_side, mu_side = [_require_list(_require(doc, key, schema), f"{schema} {key}")
+                         for key in keys]
+    return [parse(v) for v in lam_side], [None if v is None else parse(v) for v in mu_side]
+
+
 def _check_schema(doc: dict, name: str):
     tag = doc.get("schema") if isinstance(doc, dict) else None
     if tag is not None and tag != name:
@@ -134,30 +143,11 @@ def _check_schema(doc: dict, name: str):
 # Canonical encoder.  A flat list of floats, and a list of [re, im] float
 # pairs, are written in bulk: float.__repr__ over a map, then one join with
 # the indentation in the separators.  Anything else takes the general path,
-# which follows json's indent encoder item by item.
+# which follows json's indent encoder item by item.  Strings and keys go
+# through json's own escaper, and every key must be a str: the package emits
+# no other, so one that json would convert raises TypeError here.
 
 _INDENT = "  "
-_ESCAPE = re.compile(r'[^ -~]|[\\"]')
-_ESCAPES = {chr(i): f"\\u{i:04x}" for i in range(0x20)} | {
-    "\\": "\\\\", '"': '\\"', "\b": "\\b", "\f": "\\f", "\n": "\\n", "\r": "\\r", "\t": "\\t"}
-
-
-def _escape(match) -> str:
-    c = match.group()
-    if c in _ESCAPES:
-        return _ESCAPES[c]
-    n = ord(c)
-    if n < 0x10000:
-        return f"\\u{n:04x}"
-    n -= 0x10000
-    return f"\\u{0xD800 | (n >> 10):04x}\\u{0xDC00 | (n & 0x3FF):04x}"
-
-
-@functools.lru_cache(maxsize=1024)
-def _str(s: str) -> str:
-    return '"' + _ESCAPE.sub(_escape, s) + '"'
-
-
 _NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
@@ -168,8 +158,8 @@ def _float(x: float) -> str:
 
 # json text of a scalar by its exact type; subclasses of str, int and float
 # take the isinstance chain in _encode, as json checks them
-_SCALARS = {float: _float, str: _str, int: int.__repr__, bool: {True: "true", False: "false"}.get,
-            type(None): lambda _: "null"}
+_SCALARS = {float: _float, str: encode_basestring_ascii, int: int.__repr__,
+            bool: {True: "true", False: "false"}.get, type(None): lambda _: "null"}
 
 
 def _floats(values, sep: str) -> str | None:
@@ -211,19 +201,12 @@ def _encode(o, nl: str) -> str:
         if not o:
             return "{}"
         return "{" + inner + ("," + inner).join(
-            [_key(k) + ": " + _encode(v, inner) for k, v in sorted(o.items())]) + nl + "}"
+            [encode_basestring_ascii(k) + ": " + _encode(v, inner)
+             for k, v in sorted(o.items())]) + nl + "}"
     for kind in (str, int, float):
         if isinstance(o, kind):
             return _SCALARS[kind](o)
     raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
-
-
-def _key(k) -> str:
-    if isinstance(k, str):
-        return _str(k)
-    if k is None or isinstance(k, (int, float)):
-        return '"' + _encode(k, "") + '"'
-    raise TypeError(f"keys must be str, int, float, bool or None, not {k.__class__.__name__}")
 
 
 def dumps(doc: dict) -> str:
@@ -235,6 +218,8 @@ def loads(text: str) -> dict:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"invalid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise SchemaError("invalid JSON: nested too deeply to decode") from exc
     if not isinstance(doc, dict):
         raise SchemaError("top-level JSON value must be an object")
     return doc
@@ -303,9 +288,7 @@ def parse_spectral_data(doc: dict) -> CompactSpectralData:
         eta = _parse_cvec(_require(doc, "eta", "spectral_data.v1"), "eta")
         return CompactSpectralData.cyclic(spectrum, xi, eta)
     if mode == "multiplicity":
-        rho = [parse_measure(m) for m in _require(doc, "rho", "spectral_data.v1")]
-        rho1 = [None if m is None else parse_measure(m)
-                for m in _require(doc, "rho1", "spectral_data.v1")]
+        rho, rho1 = _parse_levels(doc, "spectral_data.v1", ("rho", "rho1"), parse_measure)
         return CompactSpectralData(spectrum, rho, rho1)
     raise SchemaError(f"spectral_data.v1: unknown mode {mode!r}")
 
@@ -330,7 +313,11 @@ def parse_hankel(doc: dict) -> HankelMatrix:
 
 # roundtrip_job.v1
 
-_JOB_COUNTS = {"trials": 10, "n_max": 8, "levels_max": 3, "max_atoms": 3}
+# Each count's default and largest value.  A trial index crosses the workers'
+# pipe in 4 bytes, so at most 2**32 trials; n_max and max_atoms bound draws
+# rng.integers(1, v + 1), whose v + 1 must fit int64.
+_JOB_COUNTS = {"trials": (10, 2**32), "n_max": (8, 2**63 - 2), "levels_max": (3, math.inf),
+               "max_atoms": (3, 2**63 - 2)}
 
 
 def parse_roundtrip_job(doc: dict) -> dict:
@@ -338,10 +325,12 @@ def parse_roundtrip_job(doc: dict) -> dict:
     filled in; a job that names no mode runs cyclic trials."""
     _check_schema(doc, "roundtrip_job.v1")
     job = {}
-    for key, default in _JOB_COUNTS.items():
+    for key, (default, most) in _JOB_COUNTS.items():
         value = doc.get(key, default)
         if isinstance(value, bool) or not isinstance(value, int) or value < 1:
             raise SchemaError(f"roundtrip_job.v1: {key} must be a positive integer, got {value!r}")
+        if value > most:
+            raise SchemaError(f"roundtrip_job.v1: {key} must be at most {most}, got {value}")
         job[key] = value
     job["mode"] = doc.get("mode", "cyclic")
     if job["mode"] not in ("cyclic", "multiplicity"):
@@ -486,10 +475,7 @@ def emit_clark_levels(thetas, theta1s) -> dict:
 
 def parse_clark_levels(doc: dict):
     _check_schema(doc, "clark_levels.v1")
-    thetas = [parse_blaschke(t) for t in _require(doc, "thetas", "clark_levels.v1")]
-    theta1s = [None if t is None else parse_blaschke(t)
-               for t in _require(doc, "theta1s", "clark_levels.v1")]
-    return thetas, theta1s
+    return _parse_levels(doc, "clark_levels.v1", ("thetas", "theta1s"), parse_blaschke)
 
 
 def emit_measure_levels(rho, rho1) -> dict:
@@ -500,10 +486,7 @@ def emit_measure_levels(rho, rho1) -> dict:
 
 def parse_measure_levels(doc: dict):
     _check_schema(doc, "measure_levels.v1")
-    rho = [parse_measure(m) for m in _require(doc, "rho", "measure_levels.v1")]
-    rho1 = [None if m is None else parse_measure(m)
-            for m in _require(doc, "rho1", "measure_levels.v1")]
-    return rho, rho1
+    return _parse_levels(doc, "measure_levels.v1", ("rho", "rho1"), parse_measure)
 
 
 # forward_data.v1

@@ -47,15 +47,14 @@ def test_dumps_writes_json_bytes(doc):
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.dictionaries(st.integers() | st.floats() | st.booleans() | st.none(), _leaves, max_size=4))
-def test_non_string_keys_follow_json(doc):
-    try:
-        expected = _reference(doc)
-    except TypeError:  # mixed key types do not sort
+@given(st.dictionaries(st.integers() | st.floats() | st.booleans() | st.none(), _leaves,
+                       min_size=1, max_size=4),
+       st.dictionaries(st.text(max_size=6), _leaves, max_size=3))
+def test_non_string_keys_raise_type_error(bad, good):
+    """Keys are strings only: json would convert these, the package emits none."""
+    for doc in (bad, bad | good, {"k": [bad]}):
         with pytest.raises(TypeError):
             serialize.dumps(doc)
-        return
-    assert serialize.dumps(doc) == expected
 
 
 @pytest.mark.parametrize("leaf", [np.int64(1), {1, 2}, np.float32(0.5), np.bool_(True), object()])
